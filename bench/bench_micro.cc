@@ -1,10 +1,10 @@
 // Microbenchmarks (google-benchmark) of the hot operations underneath the
-// selectors: Beta sampling, Hungarian assignment, Kalman filtering,
-// synthetic ReID embedding + distance, one TMerge Thompson round — plus
-// the slab/kernel hot path this repo optimizes: distance kernels (scalar
-// reference vs unrolled), a one-vs-many distance row (seed-style
-// unordered_map lookup + per-pair scalar sqrt vs slab gather +
-// OneVsManySquared + NormalizedFromSquared), and cache lookups
+// selectors: Beta sampling (core::BetaSampler), Hungarian assignment,
+// Kalman filtering, synthetic ReID embedding + distance, one TMerge
+// Thompson round — plus the slab/kernel hot path this repo optimizes:
+// distance kernels (scalar reference vs unrolled), a one-vs-many distance
+// row (seed-style unordered_map lookup + per-pair scalar sqrt vs slab
+// gather + OneVsManySquared + NormalizedFromSquared), and cache lookups
 // (unordered_map vs the open-addressed DetectionIndex).
 //
 // `bench_micro --json-only` skips the google-benchmark suite and instead
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -29,6 +30,7 @@
 
 #include "bench_util.h"
 #include "tmerge/core/beta.h"
+#include "tmerge/core/beta_sampler.h"
 #include "tmerge/core/rng.h"
 #include "tmerge/core/status.h"
 #include "tmerge/merge/index_support.h"
@@ -46,33 +48,51 @@ namespace tmerge {
 namespace {
 
 void BM_BetaSample(benchmark::State& state) {
-  core::Rng rng(1);
+  core::BetaSampler sampler(1);
   core::BetaPosterior beta(3.0, 7.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(beta.Sample(rng));
+    benchmark::DoNotOptimize(beta.Sample(sampler));
   }
 }
 BENCHMARK(BM_BetaSample);
 
-void BM_ThompsonRound(benchmark::State& state) {
-  // One TMerge iteration's dominant bookkeeping: drawing a theta per live
-  // pair and taking the arg-min.
-  const std::int64_t pairs = state.range(0);
+/// `arms` posteriors with S in [1, 40] and F in [1, 60], the spread a
+/// τ=10k window's arms reach.
+std::vector<core::BetaPosterior> ThompsonArms(std::size_t arms) {
   core::Rng rng(2);
-  std::vector<core::BetaPosterior> bandits(pairs);
-  for (auto _ : state) {
-    double best = 2.0;
-    std::size_t arg = 0;
-    for (std::size_t p = 0; p < bandits.size(); ++p) {
-      double theta = bandits[p].Sample(rng);
-      if (theta < best) {
-        best = theta;
-        arg = p;
-      }
-    }
-    benchmark::DoNotOptimize(arg);
+  std::vector<core::BetaPosterior> bandits;
+  bandits.reserve(arms);
+  for (std::size_t p = 0; p < arms; ++p) {
+    bandits.emplace_back(static_cast<double>(rng.UniformInt(1, 40)),
+                         static_cast<double>(rng.UniformInt(1, 60)));
   }
-  state.SetItemsProcessed(state.iterations() * pairs);
+  return bandits;
+}
+
+/// One TMerge iteration's dominant bookkeeping: a θ per live arm and the
+/// running arg-min (merge::TMergeSelector's unbatched loop).
+std::size_t ThompsonRound(const std::vector<core::BetaPosterior>& bandits,
+                          core::BetaSampler& sampler) {
+  std::size_t best = 0;
+  double best_theta = bandits[0].Sample(sampler);
+  for (std::size_t p = 1; p < bandits.size(); ++p) {
+    const double theta = bandits[p].Sample(sampler);
+    if (theta < best_theta) {
+      best_theta = theta;
+      best = p;
+    }
+  }
+  return best;
+}
+
+void BM_ThompsonRound(benchmark::State& state) {
+  const std::vector<core::BetaPosterior> bandits =
+      ThompsonArms(static_cast<std::size_t>(state.range(0)));
+  core::BetaSampler sampler(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ThompsonRound(bandits, sampler));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ThompsonRound)->Arg(100)->Arg(400)->Arg(1600);
 
@@ -809,6 +829,42 @@ void RunKernelLevelSection() {
   bench::EmitBenchJson("micro_kernel_levels", fields);
 }
 
+/// The TMerge hot loop: ns per Beta draw (a 300-arm round's time per arm,
+/// the batch-pathtrack window size) and ns per unbatched Thompson round
+/// at 100, 400 and 1600 live arms.
+void RunThompsonSection() {
+  ResetPeakRss();
+  constexpr std::size_t kDrawArms = 300;
+  constexpr std::size_t kArmCounts[] = {kDrawArms, 100, 400, 1600};
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<core::BetaPosterior>> rounds;
+  rounds.reserve(std::size(kArmCounts));
+  for (std::size_t arms : kArmCounts) rounds.push_back(ThompsonArms(arms));
+  core::BetaSampler sampler(4);
+  std::vector<double> round_ns(rounds.size(), kInf);
+  for (int r = 0; r < 7; ++r) {
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+      const auto iters = static_cast<std::int64_t>(400000 / kArmCounts[i]);
+      round_ns[i] = std::min(
+          round_ns[i], NsPerOp(
+                           [&] {
+                             benchmark::DoNotOptimize(
+                                 ThompsonRound(rounds[i], sampler));
+                           },
+                           iters));
+    }
+  }
+  std::vector<std::pair<std::string, double>> fields = {
+      {"beta_draw_ns", round_ns[0] / static_cast<double>(kDrawArms)}};
+  for (std::size_t i = 1; i < rounds.size(); ++i) {
+    const std::string arms = std::to_string(kArmCounts[i]);
+    fields.emplace_back("arms_" + arms, static_cast<double>(kArmCounts[i]));
+    fields.emplace_back("round_" + arms + "_ns", round_ns[i]);
+  }
+  fields.emplace_back("peak_rss_mb", PeakRssMb());
+  bench::EmitBenchJson("micro_thompson", fields);
+}
+
 /// The CI perf-smoke entry point: times the seed vs slab comparison
 /// pairs and emits one BENCH_JSON line per comparison. Sides alternate
 /// in short rounds and each keeps its minimum: alternation cancels the
@@ -868,6 +924,7 @@ void RunJsonBenches() {
                         {"speedup", map_lookup_ns / index_lookup_ns},
                         {"peak_rss_mb", PeakRssMb()}});
 
+  RunThompsonSection();
   RunKernelLevelSection();
   MillionFixture million;
   RunMillionScreenSection(million);

@@ -1,7 +1,7 @@
 #ifndef TMERGE_CORE_BETA_H_
 #define TMERGE_CORE_BETA_H_
 
-#include "tmerge/core/rng.h"
+#include "tmerge/core/beta_sampler.h"
 
 namespace tmerge::core {
 
@@ -32,8 +32,10 @@ class BetaPosterior {
   /// Posterior variance SF / ((S+F)^2 (S+F+1)).
   double Variance() const;
 
-  /// Draws a Thompson sample theta ~ Beta(S, F).
-  double Sample(Rng& rng) const { return rng.Beta(s_, f_); }
+  /// Draws a Thompson sample theta ~ Beta(S, F) from the cached shapes.
+  double Sample(BetaSampler& sampler) const {
+    return sampler.Beta(s_shape_, f_shape_);
+  }
 
   double s() const { return s_; }
   double f() const { return f_; }
@@ -44,6 +46,10 @@ class BetaPosterior {
  private:
   double s_;
   double f_;
+  // Gamma constants of S and F, refreshed whenever the counts change so
+  // Sample() does no per-draw setup.
+  GammaShape s_shape_;
+  GammaShape f_shape_;
 };
 
 }  // namespace tmerge::core

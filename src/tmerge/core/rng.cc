@@ -1,7 +1,5 @@
 #include "tmerge/core/rng.h"
 
-#include <cmath>
-
 #include "tmerge/core/status.h"
 
 namespace tmerge::core {
@@ -41,43 +39,6 @@ bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return std::bernoulli_distribution(p)(engine_);
-}
-
-double Rng::Gamma(double shape) {
-  TMERGE_CHECK(shape > 0.0);
-  // Marsaglia-Tsang squeeze method. Much faster than constructing a
-  // std::gamma_distribution per draw, which matters because TMerge draws a
-  // Beta sample (two Gammas) per live pair per iteration.
-  if (shape < 1.0) {
-    // Boost to shape + 1 and scale back: G(a) = G(a+1) * U^(1/a).
-    double u = Uniform01();
-    while (u <= 0.0) u = Uniform01();
-    return Gamma(shape + 1.0) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = Normal(0.0, 1.0);
-    double t = 1.0 + c * x;
-    if (t <= 0.0) continue;
-    double v = t * t * t;
-    double u = Uniform01();
-    double x2 = x * x;
-    // Squeeze acceptance (avoids the log most of the time).
-    if (u < 1.0 - 0.0331 * x2 * x2) return d * v;
-    if (u > 0.0 && std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) {
-      return d * v;
-    }
-  }
-}
-
-double Rng::Beta(double alpha, double beta) {
-  TMERGE_CHECK(alpha > 0.0 && beta > 0.0);
-  double x = Gamma(alpha);
-  double y = Gamma(beta);
-  double sum = x + y;
-  if (sum <= 0.0) return 0.5;  // Degenerate underflow; split the difference.
-  return x / sum;
 }
 
 int Rng::Poisson(double mean) {

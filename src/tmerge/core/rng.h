@@ -41,12 +41,6 @@ class Rng {
   /// Bernoulli trial: true with probability p (clamped to [0, 1]).
   bool Bernoulli(double p);
 
-  /// Gamma(shape, 1) sample; shape > 0.
-  double Gamma(double shape);
-
-  /// Beta(alpha, beta) sample via two Gamma draws; alpha, beta > 0.
-  double Beta(double alpha, double beta);
-
   /// Poisson sample with the given mean >= 0.
   int Poisson(double mean);
 

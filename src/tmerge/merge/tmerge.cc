@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "tmerge/core/beta.h"
+#include "tmerge/core/beta_sampler.h"
 #include "tmerge/core/sim_clock.h"
 #include "tmerge/core/status.h"
 #include "tmerge/merge/index_support.h"
@@ -15,6 +16,10 @@ namespace tmerge::merge {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Mixed into the window seed for the θ stream (core::BetaSampler), which
+// is separate from the cell/Bernoulli stream (core::Rng, seed ^ 0x73A3).
+constexpr std::uint64_t kThetaSeedSalt = 0x5EED'7E7A'B37AULL;
 
 enum class PairState : std::uint8_t {
   kLive = 0,       // Still being sampled.
@@ -34,16 +39,23 @@ struct PairBandit {
   }
 };
 
+// RunUlb's working vectors, kept across the calls of one Select.
+struct UlbScratch {
+  std::vector<double> lowers, uppers, lower_of, upper_of;
+};
+
 // Algorithm 4 (ULB): freezes pairs whose top-K membership is already
 // decided by Hoeffding bounds. Bounds of never-sampled pairs are vacuous.
 internal::UlbCounts RunUlb(std::vector<PairBandit>& bandits,
-                           std::int64_t tau, std::size_t k_count) {
+                           std::int64_t tau, std::size_t k_count,
+                           UlbScratch& scratch) {
   internal::UlbCounts counts;
   const std::size_t n = bandits.size();
-  std::vector<double> lowers, uppers;
-  lowers.reserve(n);
-  uppers.reserve(n);
-  std::vector<double> lower_of(n), upper_of(n);
+  auto& [lowers, uppers, lower_of, upper_of] = scratch;
+  lowers.clear();
+  uppers.clear();
+  lower_of.resize(n);
+  upper_of.resize(n);
   double log_tau = std::log(std::max<double>(2.0, static_cast<double>(tau)));
   for (std::size_t p = 0; p < n; ++p) {
     double lower = -kInf, upper = kInf;
@@ -141,6 +153,7 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
   // which is charge-identical to the bare cache until a failpoint fires.
   reid::ReidGuard guard(options.fault_policy, cache, model, meter);
   core::Rng rng(options.seed ^ 0x73A3ULL);
+  core::BetaSampler theta_rng(options.seed ^ kThetaSeedSalt);
   const bool batched = options.batch_size > 1;
   const std::size_t num_pairs = context.num_pairs();
   const std::size_t k_count = TopKCount(options.k_fraction, num_pairs);
@@ -197,6 +210,7 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
     return {crop_a, crop_b};
   };
 
+  bool live_changed = false;  // A pair left kLive; compact `live`.
   auto finish_evaluation = [&](std::size_t p, const reid::CropRef& crop_a,
                                const reid::CropRef& crop_b) {
     reid::FeatureView fa = guard.TryGet(crop_a);
@@ -207,55 +221,58 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
       // already spent and the failed inference was charged, but the
       // posterior is NOT updated and no Bernoulli draw is consumed — an
       // error must never look like evidence about the pair's distance.
-      // The exhaustion check still runs: the cell is gone either way, and
-      // skipping it would let the arg-min loop re-Sample() an exhausted
-      // sampler.
+      // The exhaustion check below still runs: the cell is gone either
+      // way, and skipping it would let the arg-min loop re-Sample() an
+      // exhausted sampler.
       ++result.failed_pulls;
-      if (samplers[p].Exhausted() && bandits[p].state == PairState::kLive) {
-        bandits[p].state = PairState::kExhausted;
-      }
-      return;
-    }
-    double distance = model.NormalizedDistance(fa, fb);
-    if (batched) {
-      meter.ChargeDistanceBatched(1);
     } else {
-      meter.ChargeDistance(1);
+      double distance = model.NormalizedDistance(fa, fb);
+      if (batched) {
+        meter.ChargeDistanceBatched(1);
+      } else {
+        meter.ChargeDistance(1);
+      }
+      // Bernoulli trial with success probability d~ (Lines 9-13).
+      bool r = rng.Bernoulli(distance);
+      bandits[p].beta.Observe(r);
+      bandits[p].sum += distance;
+      ++bandits[p].pulls;
+      ++result.box_pairs_evaluated;
+      result.sum_sampled_distance += distance;
     }
-    // Bernoulli trial with success probability d~ (Lines 9-13).
-    bool r = rng.Bernoulli(distance);
-    bandits[p].beta.Observe(r);
-    bandits[p].sum += distance;
-    ++bandits[p].pulls;
-    ++result.box_pairs_evaluated;
-    result.sum_sampled_distance += distance;
     if (samplers[p].Exhausted() && bandits[p].state == PairState::kLive) {
       bandits[p].state = PairState::kExhausted;
+      live_changed = true;
     }
   };
 
   // --- Main Thompson-sampling loop (Algorithm 2, Lines 3-14). ---
+  // `live` lists the kLive pairs in ascending index order, so θ is drawn
+  // in the order a scan over all pairs would draw it. Pairs leave kLive
+  // only in finish_evaluation and RunUlb, which set live_changed.
+  std::vector<std::size_t> live;
+  live.reserve(num_pairs);
+  for (std::size_t p = 0; p < num_pairs; ++p) {
+    if (bandits[p].state == PairState::kLive) live.push_back(p);
+  }
+
   std::int64_t tau = 0;
   std::int64_t next_ulb = options_.ulb_period;
-  const std::size_t round_size =
-      batched ? static_cast<std::size_t>(options.batch_size) : 1;
-
+  UlbScratch ulb_scratch;
   std::vector<std::pair<double, std::size_t>> draws;
   while (tau < tau_max) {
-    draws.clear();
-    for (std::size_t p = 0; p < num_pairs; ++p) {
-      if (bandits[p].state != PairState::kLive) continue;
-      draws.emplace_back(bandits[p].beta.Sample(rng), p);
-    }
-    meter.ChargeOverhead(static_cast<std::int64_t>(draws.size()));
-    if (draws.empty()) break;
-
-    std::size_t take = std::min<std::size_t>(
-        {round_size, draws.size(),
-         static_cast<std::size_t>(tau_max - tau)});
-    std::partial_sort(draws.begin(), draws.begin() + take, draws.end());
+    meter.ChargeOverhead(static_cast<std::int64_t>(live.size()));
+    if (live.empty()) break;
 
     if (batched) {
+      draws.clear();
+      for (std::size_t p : live) {
+        draws.emplace_back(bandits[p].beta.Sample(theta_rng), p);
+      }
+      const std::size_t take = std::min<std::size_t>(
+          {static_cast<std::size_t>(options.batch_size), draws.size(),
+           static_cast<std::size_t>(tau_max - tau)});
+      std::partial_sort(draws.begin(), draws.begin() + take, draws.end());
       std::vector<reid::CropRef> crops;
       std::vector<std::pair<reid::CropRef, reid::CropRef>> pending(take);
       std::vector<std::size_t> chosen(take);
@@ -272,18 +289,36 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
       }
       tau += static_cast<std::int64_t>(take);
     } else {
-      std::size_t p = draws.front().second;
-      auto [crop_a, crop_b] = evaluate_one(p, nullptr);
-      finish_evaluation(p, crop_a, crop_b);
+      // Running arg-min; the strict `<` over ascending indices breaks
+      // ties toward the lower index, the (θ, p) order's minimum.
+      std::size_t best = live.front();
+      double best_theta = bandits[best].beta.Sample(theta_rng);
+      for (std::size_t i = 1; i < live.size(); ++i) {
+        const std::size_t p = live[i];
+        const double theta = bandits[p].beta.Sample(theta_rng);
+        if (theta < best_theta) {
+          best_theta = theta;
+          best = p;
+        }
+      }
+      auto [crop_a, crop_b] = evaluate_one(best, nullptr);
+      finish_evaluation(best, crop_a, crop_b);
       ++tau;
     }
 
     if (options_.use_ulb && tau >= next_ulb) {
-      internal::UlbCounts counts = RunUlb(bandits, tau, k_count);
+      internal::UlbCounts counts = RunUlb(bandits, tau, k_count, ulb_scratch);
       result.ulb_pruned_in += counts.pruned_in;
       result.ulb_pruned_out += counts.pruned_out;
       meter.ChargeOverhead(static_cast<std::int64_t>(num_pairs));
       next_ulb = tau + options_.ulb_period;
+      live_changed |= counts.pruned_in + counts.pruned_out > 0;
+    }
+    if (live_changed) {
+      std::erase_if(live, [&](std::size_t p) {
+        return bandits[p].state != PairState::kLive;
+      });
+      live_changed = false;
     }
   }
 

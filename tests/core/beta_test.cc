@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tmerge/core/beta_sampler.h"
 #include "tmerge/core/rng.h"
 
 namespace tmerge::core {
@@ -58,21 +59,21 @@ TEST(BetaPosteriorTest, PosteriorConcentratesOnTrueRate) {
 }
 
 TEST(BetaPosteriorTest, SampleWithinUnitInterval) {
-  Rng rng(5);
+  BetaSampler sampler(5);
   BetaPosterior beta(3.0, 7.0);
   for (int i = 0; i < 500; ++i) {
-    double theta = beta.Sample(rng);
+    double theta = beta.Sample(sampler);
     EXPECT_GE(theta, 0.0);
     EXPECT_LE(theta, 1.0);
   }
 }
 
 TEST(BetaPosteriorTest, SampleMeanMatchesPosteriorMean) {
-  Rng rng(6);
+  BetaSampler sampler(6);
   BetaPosterior beta(30.0, 70.0);
   double sum = 0.0;
   constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) sum += beta.Sample(rng);
+  for (int i = 0; i < kN; ++i) sum += beta.Sample(sampler);
   EXPECT_NEAR(sum / kN, beta.Mean(), 0.01);
 }
 
@@ -90,13 +91,13 @@ class BetaOrderingTest
 
 TEST_P(BetaOrderingTest, LowerMeanSampledLowerOnAverage) {
   auto [s, f] = GetParam();
-  Rng rng(777);
+  BetaSampler sampler(777);
   BetaPosterior low(s, f + 5.0);    // Lower mean.
   BetaPosterior high(s + 5.0, f);   // Higher mean.
   int low_wins = 0;
   constexpr int kTrials = 3000;
   for (int i = 0; i < kTrials; ++i) {
-    if (low.Sample(rng) < high.Sample(rng)) ++low_wins;
+    if (low.Sample(sampler) < high.Sample(sampler)) ++low_wins;
   }
   EXPECT_GT(low_wins, kTrials / 2);
 }

@@ -98,23 +98,6 @@ TEST(RngTest, BernoulliRate) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.02);
 }
 
-TEST(RngTest, BetaMeanMatchesTheory) {
-  Rng rng(23);
-  double sum = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) sum += rng.Beta(2.0, 6.0);
-  EXPECT_NEAR(sum / kN, 2.0 / 8.0, 0.01);
-}
-
-TEST(RngTest, BetaStaysInUnitInterval) {
-  Rng rng(29);
-  for (int i = 0; i < 2000; ++i) {
-    double b = rng.Beta(0.5, 0.5);
-    EXPECT_GE(b, 0.0);
-    EXPECT_LE(b, 1.0);
-  }
-}
-
 TEST(RngTest, PoissonMean) {
   Rng rng(31);
   double sum = 0.0;
@@ -149,8 +132,6 @@ TEST(RngDeathTest, InvalidArgumentsAbort) {
   EXPECT_DEATH(rng.Uniform(3.0, 1.0), "TMERGE_CHECK");
   EXPECT_DEATH(rng.UniformInt(5, 4), "TMERGE_CHECK");
   EXPECT_DEATH(rng.Index(0), "TMERGE_CHECK");
-  EXPECT_DEATH(rng.Gamma(0.0), "TMERGE_CHECK");
-  EXPECT_DEATH(rng.Beta(0.0, 1.0), "TMERGE_CHECK");
   EXPECT_DEATH(rng.Poisson(-1.0), "TMERGE_CHECK");
 }
 

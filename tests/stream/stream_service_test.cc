@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "testing/recording_selector.h"
 #include "tmerge/fault/registry.h"
 #include "tmerge/merge/pipeline.h"
 #include "tmerge/merge/tmerge.h"
@@ -184,6 +186,25 @@ TEST_F(StreamServiceTest, StreamedSelectionMatchesBatchThreaded) {
   config.num_threads = 4;
   StreamResult stream = RunStream(ref, selector, config);
   ExpectMatchesBatch(stream, ref);
+}
+
+// The θ stream's batch/stream leg (DESIGN.md §4.1): every streamed window
+// pulls the same pairs in the same order as its batch twin.
+TEST_F(StreamServiceTest, StreamedThetaPullSequenceMatchesBatch) {
+  merge::TMergeSelector tmerge;
+  testing::RecordingSelector selector(tmerge);
+  BatchReference ref = RunBatch(/*num_videos=*/3, selector);
+  // RunBatch evaluates every window twice (per video, then the dataset).
+  std::vector<testing::WindowFingerprint> batch = selector.Take();
+  StreamServiceConfig config;
+  config.num_threads = 4;
+  RunStream(ref, selector, config);
+  std::vector<testing::WindowFingerprint> streamed = selector.Take();
+  ASSERT_FALSE(streamed.empty());
+  std::vector<testing::WindowFingerprint> twice = streamed;
+  twice.insert(twice.end(), streamed.begin(), streamed.end());
+  std::sort(twice.begin(), twice.end());
+  EXPECT_EQ(twice, batch);
 }
 
 TEST_F(StreamServiceTest, TinyBudgetsEngageBackpressureWithoutDivergence) {
