@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) of the hot operations underneath the
-// selectors: Beta sampling (core::BetaSampler), Hungarian assignment,
+// selectors: Beta sampling (core::BetaSampler), the bandits' bookkeeping
+// (ULB pruning, BoxPairSampler draws, an LCB round), Hungarian assignment,
 // Kalman filtering, synthetic ReID embedding + distance, one TMerge
 // Thompson round — plus the slab/kernel hot path this repo optimizes:
 // distance kernels (scalar reference vs unrolled), a one-vs-many distance
@@ -34,7 +35,9 @@
 #include "tmerge/core/rng.h"
 #include "tmerge/core/status.h"
 #include "tmerge/merge/index_support.h"
+#include "tmerge/merge/lcb.h"
 #include "tmerge/merge/pair_store.h"
+#include "tmerge/merge/tmerge.h"
 #include "tmerge/reid/candidate_index.h"
 #include "tmerge/reid/distance_kernels.h"
 #include "tmerge/reid/feature_cache.h"
@@ -865,6 +868,81 @@ void RunThompsonSection() {
   bench::EmitBenchJson("micro_thompson", fields);
 }
 
+/// The bandits' bookkeeping around the draws: one ULB pass
+/// (merge::internal::RunUlb) and one LCB arg-min round
+/// (merge::internal::LcbArgMin) over 257 arms — a batch-pathtrack
+/// window's size — and ns per BoxPairSampler draw at PS's η = 0.03 on a
+/// 130 x 130 grid, sampler construction included.
+void RunBanditSection() {
+  ResetPeakRss();
+  constexpr std::size_t kArms = 257;
+  constexpr std::int64_t kGridSide = 130;
+  constexpr std::int64_t kDraws = (kGridSide * kGridSide * 3 + 99) / 100;
+  const double kInf = std::numeric_limits<double>::infinity();
+
+  // A mid-window bandit state: mostly pulled live arms, a few never
+  // pulled, exhausted or already pruned.
+  core::Rng rng(13);
+  std::vector<merge::internal::PairBandit> bandits(kArms);
+  std::vector<merge::internal::PairState> states(kArms);
+  std::vector<double> means(kArms);
+  std::vector<std::int64_t> pulls(kArms);
+  std::vector<std::size_t> active;
+  for (std::size_t p = 0; p < kArms; ++p) {
+    merge::internal::PairBandit& arm = bandits[p];
+    const double roll = rng.Uniform01();
+    if (roll >= 0.05) {
+      arm.pulls = rng.UniformInt(1, 120);
+      arm.sum = rng.Uniform(0.1, 0.9) * static_cast<double>(arm.pulls);
+    }
+    if (roll >= 0.95) {
+      arm.state = merge::internal::PairState::kExhausted;
+    } else if (roll >= 0.90) {
+      arm.state = merge::internal::PairState::kPrunedOut;
+    }
+    states[p] = arm.state;
+    means[p] = arm.SampleMean();
+    pulls[p] = arm.pulls;
+    active.push_back(p);
+  }
+  merge::internal::UlbScratch scratch;
+  const std::size_t k_count = merge::TopKCount(0.05, kArms);
+  std::int64_t tau = 4000;
+  auto ulb = [&] {
+    for (std::size_t p = 0; p < kArms; ++p) bandits[p].state = states[p];
+    benchmark::DoNotOptimize(
+        merge::internal::RunUlb(bandits, tau, k_count, scratch));
+  };
+  auto lcb_round = [&] {
+    benchmark::DoNotOptimize(
+        merge::internal::LcbArgMin(active, means, pulls, ++tau));
+  };
+  core::Rng cell_rng(17);
+  auto sampler_draws = [&] {
+    merge::BoxPairSampler sampler(kGridSide, kGridSide);
+    for (std::int64_t i = 0; i < kDraws; ++i) {
+      benchmark::DoNotOptimize(sampler.Sample(cell_rng));
+    }
+  };
+
+  double ulb_ns = kInf, lcb_ns = kInf, draws_ns = kInf;
+  for (int r = 0; r < 7; ++r) {
+    ulb_ns = std::min(ulb_ns, NsPerOp(ulb, 2000));
+    lcb_ns = std::min(lcb_ns, NsPerOp(lcb_round, 4000));
+    draws_ns = std::min(draws_ns, NsPerOp(sampler_draws, 200));
+  }
+  bench::EmitBenchJson(
+      "micro_bandit",
+      {{"ulb_arms", static_cast<double>(kArms)},
+       {"ulb_257_ns", ulb_ns},
+       {"lcb_arms", static_cast<double>(kArms)},
+       {"lcb_round_257_ns", lcb_ns},
+       {"sampler_grid_cells", static_cast<double>(kGridSide * kGridSide)},
+       {"sampler_draws", static_cast<double>(kDraws)},
+       {"sampler_draw_ns", draws_ns / static_cast<double>(kDraws)},
+       {"peak_rss_mb", PeakRssMb()}});
+}
+
 /// The CI perf-smoke entry point: times the seed vs slab comparison
 /// pairs and emits one BENCH_JSON line per comparison. Sides alternate
 /// in short rounds and each keeps its minimum: alternation cancels the
@@ -925,6 +1003,7 @@ void RunJsonBenches() {
                         {"peak_rss_mb", PeakRssMb()}});
 
   RunThompsonSection();
+  RunBanditSection();
   RunKernelLevelSection();
   MillionFixture million;
   RunMillionScreenSection(million);

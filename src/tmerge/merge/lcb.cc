@@ -1,5 +1,6 @@
 #include "tmerge/merge/lcb.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -9,6 +10,31 @@
 #include "tmerge/merge/index_support.h"
 
 namespace tmerge::merge {
+
+std::size_t internal::LcbArgMin(const std::vector<std::size_t>& active,
+                               const std::vector<double>& means,
+                               const std::vector<std::int64_t>& pulls,
+                               std::int64_t tau) {
+  // 2 ln(tau + 1) / n parses as (2 ln(tau + 1)) / n, so hoisting the
+  // numerator out of the sweep leaves every bound's bits unchanged.
+  const double two_log = 2.0 * std::log(static_cast<double>(tau + 1));
+  double best_bound = std::numeric_limits<double>::infinity();
+  std::size_t best_pair = means.size();
+  for (std::size_t p : active) {
+    // A pair whose initial pull failed (injected fault) still has zero
+    // pulls; its bound is vacuously -inf — maximally optimistic, so it
+    // is sampled first — rather than a crash.
+    double bound = -std::numeric_limits<double>::infinity();
+    if (pulls[p] > 0) {
+      bound = means[p] - std::sqrt(two_log / static_cast<double>(pulls[p]));
+    }
+    if (bound < best_bound) {
+      best_bound = bound;
+      best_pair = p;
+    }
+  }
+  return best_pair;
+}
 
 LcbSelector::LcbSelector(std::int64_t tau_max) : tau_max_(tau_max) {
   TMERGE_CHECK(tau_max > 0);
@@ -42,6 +68,8 @@ SelectionResult LcbSelector::Select(const PairContext& context,
   }
   std::vector<double> sum(num_pairs, 0.0);
   std::vector<std::int64_t> pulls(num_pairs, 0);
+  // sum / pulls, refreshed on every successful pull of the pair.
+  std::vector<double> mean(num_pairs, 0.0);
 
   // Cluster router (§15.3): routed-out pairs never enter the bandit — no
   // initial pull, never eligible in the argmin — and keep score 1.0.
@@ -77,6 +105,7 @@ SelectionResult LcbSelector::Select(const PairContext& context,
     }
     sum[p] += distance;
     ++pulls[p];
+    mean[p] = sum[p] / static_cast<double>(pulls[p]);
     ++result.box_pairs_evaluated;
     result.sum_sampled_distance += distance;
   };
@@ -90,36 +119,28 @@ SelectionResult LcbSelector::Select(const PairContext& context,
     ++tau;
   }
 
+  // The arms still eligible for the arg-min — admitted and not
+  // exhausted — in ascending index order.
+  std::vector<std::size_t> active;
+  active.reserve(num_pairs);
+  for (std::size_t p = 0; p < num_pairs; ++p) {
+    if (routing.Admitted(p) && !samplers[p].Exhausted()) active.push_back(p);
+  }
+
   for (; tau < tau_max; ++tau) {
-    double best_bound = std::numeric_limits<double>::infinity();
-    std::size_t best_pair = num_pairs;
-    for (std::size_t p = 0; p < num_pairs; ++p) {
-      if (!routing.Admitted(p)) continue;
-      if (samplers[p].Exhausted()) continue;
-      // A pair whose initial pull failed (injected fault) still has zero
-      // pulls; its bound is vacuously -inf — maximally optimistic, so it
-      // is sampled first — rather than a crash.
-      double bound = -std::numeric_limits<double>::infinity();
-      if (pulls[p] > 0) {
-        double mean = sum[p] / static_cast<double>(pulls[p]);
-        double radius =
-            std::sqrt(2.0 * std::log(static_cast<double>(tau + 1)) /
-                      static_cast<double>(pulls[p]));
-        bound = mean - radius;
-      }
-      if (bound < best_bound) {
-        best_bound = bound;
-        best_pair = p;
-      }
-    }
+    const std::size_t best_pair =
+        internal::LcbArgMin(active, mean, pulls, tau);
     meter.ChargeOverhead(static_cast<std::int64_t>(num_pairs));
     if (best_pair == num_pairs) break;  // Everything exhausted.
     evaluate_pair(best_pair);
+    if (samplers[best_pair].Exhausted()) {
+      active.erase(std::lower_bound(active.begin(), active.end(), best_pair));
+    }
   }
 
   std::vector<double> scores(num_pairs, 1.0);
   for (std::size_t p = 0; p < num_pairs; ++p) {
-    if (pulls[p] > 0) scores[p] = sum[p] / static_cast<double>(pulls[p]);
+    if (pulls[p] > 0) scores[p] = mean[p];
   }
   result.candidates = internal::TopKByScore(
       context, scores, TopKCount(options.k_fraction, num_pairs));

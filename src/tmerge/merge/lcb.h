@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "tmerge/merge/selector.h"
 
@@ -33,6 +34,20 @@ class LcbSelector : public CandidateSelector {
  private:
   std::int64_t tau_max_;
 };
+
+namespace internal {
+
+/// One LCB round's arm choice at iteration `tau`: the arm of `active`
+/// (ascending pair indices) with the smallest bound means[p] -
+/// sqrt(2 ln(tau + 1) / pulls[p]), ties to the lower index. An arm with no
+/// successful pull has bound -inf. Returns means.size() when `active` is
+/// empty.
+std::size_t LcbArgMin(const std::vector<std::size_t>& active,
+                      const std::vector<double>& means,
+                      const std::vector<std::int64_t>& pulls,
+                      std::int64_t tau);
+
+}  // namespace internal
 
 }  // namespace tmerge::merge
 

@@ -1,6 +1,8 @@
 #include "tmerge/merge/pair_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <unordered_map>
 
 #include "tmerge/core/status.h"
 
@@ -90,6 +92,52 @@ std::int64_t PairContext::TotalBoxPairs() const {
   return total;
 }
 
+namespace {
+
+constexpr std::int64_t kFreeSlot = -1;
+constexpr std::size_t kInitialSlots = 16;
+
+}  // namespace
+
+std::size_t BoxPairSampler::Slot(std::int64_t cell) const {
+  const int bits = std::countr_zero(drawn_.size());
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(cell) * 0x9E3779B97F4A7C15ULL) >>
+      (64 - bits));
+}
+
+bool BoxPairSampler::Contains(std::int64_t cell) const {
+  const std::size_t mask = drawn_.size() - 1;
+  for (std::size_t i = Slot(cell);; i = (i + 1) & mask) {
+    if (drawn_[i] == cell) return true;
+    if (drawn_[i] == kFreeSlot) return false;
+  }
+}
+
+bool BoxPairSampler::Insert(std::int64_t cell) {
+  if (2 * (static_cast<std::size_t>(sampled_count_) + 1) > drawn_.size()) {
+    // Double (or create) the table and rehash.
+    std::vector<std::int64_t> old(
+        std::max(kInitialSlots, 2 * drawn_.size()), kFreeSlot);
+    old.swap(drawn_);
+    const std::size_t mask = drawn_.size() - 1;
+    for (std::int64_t kept : old) {
+      if (kept == kFreeSlot) continue;
+      std::size_t i = Slot(kept);
+      while (drawn_[i] != kFreeSlot) i = (i + 1) & mask;
+      drawn_[i] = kept;
+    }
+  }
+  const std::size_t mask = drawn_.size() - 1;
+  for (std::size_t i = Slot(cell);; i = (i + 1) & mask) {
+    if (drawn_[i] == cell) return false;
+    if (drawn_[i] == kFreeSlot) {
+      drawn_[i] = cell;
+      return true;
+    }
+  }
+}
+
 std::pair<std::int32_t, std::int32_t> BoxPairSampler::Sample(core::Rng& rng) {
   TMERGE_CHECK(!Exhausted());
   std::int64_t total = rows_ * cols_;
@@ -98,8 +146,7 @@ std::pair<std::int32_t, std::int32_t> BoxPairSampler::Sample(core::Rng& rng) {
   if (!dense_mode_ && sampled_count_ * 2 < total) {
     for (;;) {
       std::int64_t cell = rng.UniformInt(0, total - 1);
-      auto [it, inserted] = sampled_.emplace(cell, true);
-      if (inserted) {
+      if (Insert(cell)) {
         ++sampled_count_;
         return {static_cast<std::int32_t>(cell / cols_),
                 static_cast<std::int32_t>(cell % cols_)};
@@ -110,9 +157,9 @@ std::pair<std::int32_t, std::int32_t> BoxPairSampler::Sample(core::Rng& rng) {
     dense_mode_ = true;
     remaining_.reserve(total - sampled_count_);
     for (std::int64_t cell = 0; cell < total; ++cell) {
-      if (!sampled_.contains(cell)) remaining_.push_back(cell);
+      if (!Contains(cell)) remaining_.push_back(cell);
     }
-    sampled_.clear();  // No longer needed.
+    std::vector<std::int64_t>().swap(drawn_);  // No longer needed.
   }
   TMERGE_CHECK(!remaining_.empty());
   std::size_t pick = rng.Index(remaining_.size());

@@ -2,7 +2,6 @@
 #define TMERGE_MERGE_PAIR_STORE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "tmerge/merge/window.h"
@@ -89,6 +88,12 @@ class PairContext {
 /// TMerge's without-replacement sampling. BBox pairs are identified by
 /// row * cols + col over the B_ti x B_tj grid.
 ///
+/// Storage never scales with the grid, only with the cells drawn: while at
+/// most half the grid is drawn, the drawn cells sit in a flat
+/// open-addressed set of about 4 slots (8 bytes each) per drawn cell at
+/// most; past half, the undrawn cells — no more than the drawn ones — are
+/// listed instead. A draw allocates only when the set doubles.
+///
 /// Thread-confined like its owning selector state: Sample mutates and
 /// draws from the caller's core::Rng, whose determinism depends on a
 /// single consumer (one sampler + one rng per (window, trial) evaluation).
@@ -109,15 +114,22 @@ class BoxPairSampler {
   std::int64_t total() const { return rows_ * cols_; }
 
  private:
+  /// Adds `cell` to `drawn_`; false if it was already there.
+  bool Insert(std::int64_t cell);
+  bool Contains(std::int64_t cell) const;
+  /// Home slot of `cell` in `drawn_` (Fibonacci hashing).
+  std::size_t Slot(std::int64_t cell) const;
+
   std::int64_t rows_;
   std::int64_t cols_;
   std::int64_t sampled_count_ = 0;
-  /// Sparse record of sampled cells, used while the grid is mostly empty
-  /// (rejection sampling is cheap there).
-  std::unordered_map<std::int64_t, bool> sampled_;
+  /// Sparse phase: the drawn cells, linear probing over a power-of-two
+  /// table kept at most half full; -1 marks a free slot. Rejection
+  /// sampling against it is cheap while the grid is mostly undrawn.
+  std::vector<std::int64_t> drawn_;
   /// Once more than half the grid is sampled, the unsampled cells are
-  /// materialized here and drawn by swap-remove (O(1) per draw), keeping
-  /// full-grid consumers like PS at eta = 1 linear.
+  /// materialized here in ascending order and drawn by swap-remove (O(1)
+  /// per draw), keeping full-grid consumers like PS at eta = 1 linear.
   std::vector<std::int64_t> remaining_;
   bool dense_mode_ = false;
 };

@@ -21,86 +21,16 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // is separate from the cell/Bernoulli stream (core::Rng, seed ^ 0x73A3).
 constexpr std::uint64_t kThetaSeedSalt = 0x5EED'7E7A'B37AULL;
 
-enum class PairState : std::uint8_t {
-  kLive = 0,       // Still being sampled.
-  kPrunedIn,       // Certainly in the top-K; sampling stopped (ULB).
-  kPrunedOut,      // Certainly outside the top-K; sampling stopped (ULB).
-  kExhausted,      // Every BBox pair evaluated; exact score known.
-};
+using internal::PairBandit;
+using internal::PairState;
 
-struct PairBandit {
-  core::BetaPosterior beta;
-  double sum = 0.0;
-  std::int64_t pulls = 0;
-  PairState state = PairState::kLive;
-
-  double SampleMean() const {
-    return pulls > 0 ? sum / static_cast<double>(pulls) : 0.5;
-  }
-};
-
-// RunUlb's working vectors, kept across the calls of one Select.
-struct UlbScratch {
-  std::vector<double> lowers, uppers, lower_of, upper_of;
-};
-
-// Algorithm 4 (ULB): freezes pairs whose top-K membership is already
-// decided by Hoeffding bounds. Bounds of never-sampled pairs are vacuous.
-internal::UlbCounts RunUlb(std::vector<PairBandit>& bandits,
-                           std::int64_t tau, std::size_t k_count,
-                           UlbScratch& scratch) {
-  internal::UlbCounts counts;
-  const std::size_t n = bandits.size();
-  auto& [lowers, uppers, lower_of, upper_of] = scratch;
-  lowers.clear();
-  uppers.clear();
-  lower_of.resize(n);
-  upper_of.resize(n);
-  double log_tau = std::log(std::max<double>(2.0, static_cast<double>(tau)));
-  for (std::size_t p = 0; p < n; ++p) {
-    double lower = -kInf, upper = kInf;
-    if (bandits[p].pulls > 0) {
-      double mean = bandits[p].SampleMean();
-      double radius =
-          std::sqrt(2.0 * log_tau / static_cast<double>(bandits[p].pulls));
-      lower = mean - radius;
-      upper = mean + radius;
-    }
-    if (bandits[p].state == PairState::kExhausted) {
-      // Exact score: zero-width interval.
-      lower = upper = bandits[p].SampleMean();
-    }
-    lower_of[p] = lower;
-    upper_of[p] = upper;
-    lowers.push_back(lower);
-    uppers.push_back(upper);
-  }
-  std::sort(lowers.begin(), lowers.end());
-  std::sort(uppers.begin(), uppers.end());
-
-  for (std::size_t p = 0; p < n; ++p) {
-    if (bandits[p].state != PairState::kLive) continue;
-    if (bandits[p].pulls == 0) continue;
-    // Pairs that could rank below p: lower bound strictly below p's upper.
-    auto possibly_below = static_cast<std::size_t>(
-        std::lower_bound(lowers.begin(), lowers.end(), upper_of[p]) -
-        lowers.begin());
-    if (lower_of[p] < upper_of[p]) --possibly_below;  // Exclude p itself.
-    if (possibly_below + 1 <= k_count) {
-      bandits[p].state = PairState::kPrunedIn;
-      ++counts.pruned_in;
-      continue;
-    }
-    // Pairs certainly below p: upper bound strictly below p's lower.
-    auto certainly_below = static_cast<std::size_t>(
-        std::lower_bound(uppers.begin(), uppers.end(), lower_of[p]) -
-        uppers.begin());
-    if (certainly_below >= k_count) {
-      bandits[p].state = PairState::kPrunedOut;
-      ++counts.pruned_out;
-    }
-  }
-  return counts;
+// The r-th smallest of `values` (0-based), reordering them; ranks below 0
+// read as -inf and ranks at or past the end as +inf.
+double NthSmallest(std::vector<double>& values, std::int64_t r) {
+  if (r < 0) return -kInf;
+  if (r >= static_cast<std::int64_t>(values.size())) return kInf;
+  std::nth_element(values.begin(), values.begin() + r, values.end());
+  return values[static_cast<std::size_t>(r)];
 }
 
 #ifndef TMERGE_OBS_DISABLED
@@ -142,6 +72,67 @@ void RecordBanditObs(std::int64_t tau,
 #endif  // TMERGE_OBS_DISABLED
 
 }  // namespace
+
+internal::UlbCounts internal::RunUlb(std::vector<PairBandit>& bandits,
+                                     std::int64_t tau, std::size_t k_count,
+                                     UlbScratch& scratch) {
+  UlbCounts counts;
+  const std::size_t n = bandits.size();
+  auto& [lowers, uppers, lower_of, upper_of] = scratch;
+  lower_of.resize(n);
+  upper_of.resize(n);
+  double log_tau = std::log(std::max<double>(2.0, static_cast<double>(tau)));
+  for (std::size_t p = 0; p < n; ++p) {
+    double lower = -kInf, upper = kInf;
+    if (bandits[p].pulls > 0) {
+      double mean = bandits[p].SampleMean();
+      double radius =
+          std::sqrt(2.0 * log_tau / static_cast<double>(bandits[p].pulls));
+      lower = mean - radius;
+      upper = mean + radius;
+    }
+    if (bandits[p].state == PairState::kExhausted) {
+      // Exact score: zero-width interval.
+      lower = upper = bandits[p].SampleMean();
+    }
+    lower_of[p] = lower;
+    upper_of[p] = upper;
+  }
+
+  // Pruned in: count(lowers < u_p) - [l_p < u_p] + 1 <= K (p's own lower
+  // bound is among the lowers), i.e. count(lowers < u_p) <= m with
+  // m = K - 1 + [l_p < u_p], which holds iff the m-th smallest lower bound
+  // (0-based) is >= u_p. Pruned out: count(uppers < l_p) >= K iff the
+  // (K-1)-th smallest upper bound is < l_p. The same strict `<` on the
+  // same doubles decides both forms, so they agree on ties and ±inf; the
+  // out-of-range ranks' ∓inf decide as the counts do for the finite
+  // bounds of a pulled pair.
+  const auto k = static_cast<std::int64_t>(k_count);
+  lowers.assign(lower_of.begin(), lower_of.end());
+  uppers.assign(upper_of.begin(), upper_of.end());
+  const double lower_rank_k_minus_1 = NthSmallest(lowers, k - 1);
+  // nth_element left every rank >= K in the tail, so rank K is its minimum.
+  const double lower_rank_k =
+      k < static_cast<std::int64_t>(n)
+          ? *std::min_element(lowers.begin() + k, lowers.end())
+          : kInf;
+  const double upper_rank_k_minus_1 = NthSmallest(uppers, k - 1);
+
+  for (std::size_t p = 0; p < n; ++p) {
+    if (bandits[p].state != PairState::kLive) continue;
+    if (bandits[p].pulls == 0) continue;
+    const double lower_rank_m =
+        lower_of[p] < upper_of[p] ? lower_rank_k : lower_rank_k_minus_1;
+    if (lower_rank_m >= upper_of[p]) {
+      bandits[p].state = PairState::kPrunedIn;
+      ++counts.pruned_in;
+    } else if (upper_rank_k_minus_1 < lower_of[p]) {
+      bandits[p].state = PairState::kPrunedOut;
+      ++counts.pruned_out;
+    }
+  }
+  return counts;
+}
 
 SelectionResult TMergeSelector::Select(const PairContext& context,
                                        const reid::ReidModel& model,
@@ -258,8 +249,12 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
 
   std::int64_t tau = 0;
   std::int64_t next_ulb = options_.ulb_period;
-  UlbScratch ulb_scratch;
+  internal::UlbScratch ulb_scratch;
   std::vector<std::pair<double, std::size_t>> draws;
+  // TMerge-B round buffers, reused across rounds.
+  std::vector<reid::CropRef> crops;
+  std::vector<std::pair<reid::CropRef, reid::CropRef>> pending;
+  std::vector<std::size_t> chosen;
   while (tau < tau_max) {
     meter.ChargeOverhead(static_cast<std::int64_t>(live.size()));
     if (live.empty()) break;
@@ -273,9 +268,9 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
           {static_cast<std::size_t>(options.batch_size), draws.size(),
            static_cast<std::size_t>(tau_max - tau)});
       std::partial_sort(draws.begin(), draws.begin() + take, draws.end());
-      std::vector<reid::CropRef> crops;
-      std::vector<std::pair<reid::CropRef, reid::CropRef>> pending(take);
-      std::vector<std::size_t> chosen(take);
+      crops.clear();
+      pending.resize(take);
+      chosen.resize(take);
       for (std::size_t i = 0; i < take; ++i) {
         chosen[i] = draws[i].second;
         pending[i] = evaluate_one(chosen[i], &crops);
@@ -307,7 +302,8 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
     }
 
     if (options_.use_ulb && tau >= next_ulb) {
-      internal::UlbCounts counts = RunUlb(bandits, tau, k_count, ulb_scratch);
+      internal::UlbCounts counts =
+          internal::RunUlb(bandits, tau, k_count, ulb_scratch);
       result.ulb_pruned_in += counts.pruned_in;
       result.ulb_pruned_out += counts.pruned_out;
       meter.ChargeOverhead(static_cast<std::int64_t>(num_pairs));

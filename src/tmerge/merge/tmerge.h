@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "tmerge/core/beta.h"
 #include "tmerge/merge/selector.h"
 
 namespace tmerge::merge {
@@ -62,6 +64,41 @@ struct UlbCounts {
   std::int64_t pruned_in = 0;
   std::int64_t pruned_out = 0;
 };
+
+enum class PairState : std::uint8_t {
+  kLive = 0,       // Still being sampled.
+  kPrunedIn,       // Certainly in the top-K; sampling stopped (ULB).
+  kPrunedOut,      // Certainly outside the top-K; sampling stopped (ULB).
+  kExhausted,      // Every BBox pair evaluated; exact score known.
+};
+
+/// One track pair's arm: its Beta posterior and the running sum of the
+/// distances its pulls observed.
+struct PairBandit {
+  core::BetaPosterior beta;
+  double sum = 0.0;
+  std::int64_t pulls = 0;
+  PairState state = PairState::kLive;
+
+  double SampleMean() const {
+    return pulls > 0 ? sum / static_cast<double>(pulls) : 0.5;
+  }
+};
+
+/// RunUlb's working vectors, kept across the calls of one Select.
+struct UlbScratch {
+  std::vector<double> lowers, uppers, lower_of, upper_of;
+};
+
+/// Algorithm 4 (ULB): freezes live, pulled pairs whose top-K membership is
+/// already decided by Hoeffding bounds (never-sampled pairs have vacuous
+/// bounds, exhausted pairs a zero-width one). A pair p with bounds
+/// [l_p, u_p] is pruned in when at most K - 1 other pairs have a lower
+/// bound strictly below u_p, and pruned out when at least K pairs have an
+/// upper bound strictly below l_p. Both counts are read off one order
+/// statistic each (std::nth_element), so a call is O(n).
+UlbCounts RunUlb(std::vector<PairBandit>& bandits, std::int64_t tau,
+                 std::size_t k_count, UlbScratch& scratch);
 
 }  // namespace internal
 

@@ -1,6 +1,9 @@
 #include "tmerge/merge/pair_store.h"
 
 #include <set>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +115,103 @@ TEST(BoxPairSamplerTest, LargeGridUniformish) {
   }
   // 500 draws over 100 rows: expect wide row coverage.
   EXPECT_GT(rows.size(), 80u);
+}
+
+/// Reference sampler: the original unordered-set formulation of
+/// BoxPairSampler (rejection sampling while at most half the grid is
+/// drawn, then swap-remove from the ascending list of undrawn cells).
+/// BoxPairSampler must reproduce its cell sequence and consume exactly the
+/// same core::Rng draws.
+class ReferenceSampler {
+ public:
+  ReferenceSampler(std::int64_t rows, std::int64_t cols)
+      : rows_(rows), cols_(cols) {}
+
+  bool Exhausted() const { return sampled_count_ >= rows_ * cols_; }
+
+  std::pair<std::int32_t, std::int32_t> Sample(core::Rng& rng) {
+    std::int64_t total = rows_ * cols_;
+    if (!dense_mode_ && sampled_count_ * 2 < total) {
+      for (;;) {
+        std::int64_t cell = rng.UniformInt(0, total - 1);
+        if (sampled_.insert(cell).second) {
+          ++sampled_count_;
+          return {static_cast<std::int32_t>(cell / cols_),
+                  static_cast<std::int32_t>(cell % cols_)};
+        }
+      }
+    }
+    if (!dense_mode_) {
+      dense_mode_ = true;
+      for (std::int64_t cell = 0; cell < total; ++cell) {
+        if (!sampled_.contains(cell)) remaining_.push_back(cell);
+      }
+      sampled_.clear();
+    }
+    std::size_t pick = rng.Index(remaining_.size());
+    std::int64_t cell = remaining_[pick];
+    remaining_[pick] = remaining_.back();
+    remaining_.pop_back();
+    ++sampled_count_;
+    return {static_cast<std::int32_t>(cell / cols_),
+            static_cast<std::int32_t>(cell % cols_)};
+  }
+
+ private:
+  std::int64_t rows_;
+  std::int64_t cols_;
+  std::int64_t sampled_count_ = 0;
+  std::unordered_set<std::int64_t> sampled_;
+  std::vector<std::int64_t> remaining_;
+  bool dense_mode_ = false;
+};
+
+TEST(BoxPairSamplerTest, MatchesReferenceThroughDenseSwitchToExhaustion) {
+  const std::pair<std::int64_t, std::int64_t> grids[] = {
+      {1, 1}, {1, 37}, {8, 8}, {9, 7}, {64, 65}, {100, 100}};
+  for (const auto& [rows, cols] : grids) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      core::Rng rng(seed), reference_rng(seed);
+      BoxPairSampler sampler(rows, cols);
+      ReferenceSampler reference(rows, cols);
+      std::int64_t draws = 0;
+      while (!reference.Exhausted()) {
+        ASSERT_FALSE(sampler.Exhausted());
+        ASSERT_EQ(sampler.Sample(rng), reference.Sample(reference_rng))
+            << rows << "x" << cols << " seed " << seed << " draw " << draws;
+        ++draws;
+      }
+      EXPECT_TRUE(sampler.Exhausted());
+      EXPECT_EQ(draws, rows * cols);
+      EXPECT_EQ(sampler.sampled_count(), rows * cols);
+      // Both consumed exactly the same engine draws.
+      EXPECT_EQ(rng.engine()(), reference_rng.engine()())
+          << rows << "x" << cols << " seed " << seed;
+    }
+  }
+}
+
+TEST(BoxPairSamplerTest, MatchesReferenceWhenInterleaved) {
+  // TMerge and LCB interleave many samplers on one core::Rng; the shared
+  // stream must advance identically.
+  core::Rng rng(9), reference_rng(9);
+  std::vector<BoxPairSampler> samplers;
+  std::vector<ReferenceSampler> references;
+  for (std::int64_t size = 1; size <= 12; ++size) {
+    samplers.emplace_back(size, size + 3);
+    references.emplace_back(size, size + 3);
+  }
+  for (int step = 0; step < 2000; ++step) {
+    std::size_t p = rng.Index(samplers.size());
+    ASSERT_EQ(p, reference_rng.Index(references.size()));
+    if (references[p].Exhausted()) {
+      ASSERT_TRUE(samplers[p].Exhausted());
+      continue;
+    }
+    ASSERT_EQ(samplers[p].Sample(rng), references[p].Sample(reference_rng))
+        << "step " << step;
+  }
+  EXPECT_EQ(rng.engine()(), reference_rng.engine()());
 }
 
 TEST(BoxPairSamplerDeathTest, SamplingExhaustedAborts) {

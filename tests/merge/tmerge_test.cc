@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "testing/merge_fixture.h"
+#include "tmerge/core/rng.h"
 
 namespace tmerge::merge {
 namespace {
@@ -276,6 +282,160 @@ TEST(TMergeTest, CandidateCountMatchesK) {
 
 // Property: across budgets, recall of the truth pair never degrades much
 // as tau grows (monotone-ish improvement).
+// The sort-and-count formulation of ULB that internal::RunUlb replaced
+// (two full sorts and two binary searches per live arm), kept verbatim as
+// the oracle for the order-statistic one.
+namespace oracle {
+
+using internal::PairBandit;
+using internal::PairState;
+using internal::UlbScratch;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+internal::UlbCounts RunUlb(std::vector<PairBandit>& bandits,
+                           std::int64_t tau, std::size_t k_count,
+                           UlbScratch& scratch) {
+  internal::UlbCounts counts;
+  const std::size_t n = bandits.size();
+  auto& [lowers, uppers, lower_of, upper_of] = scratch;
+  lowers.clear();
+  uppers.clear();
+  lower_of.resize(n);
+  upper_of.resize(n);
+  double log_tau = std::log(std::max<double>(2.0, static_cast<double>(tau)));
+  for (std::size_t p = 0; p < n; ++p) {
+    double lower = -kInf, upper = kInf;
+    if (bandits[p].pulls > 0) {
+      double mean = bandits[p].SampleMean();
+      double radius =
+          std::sqrt(2.0 * log_tau / static_cast<double>(bandits[p].pulls));
+      lower = mean - radius;
+      upper = mean + radius;
+    }
+    if (bandits[p].state == PairState::kExhausted) {
+      // Exact score: zero-width interval.
+      lower = upper = bandits[p].SampleMean();
+    }
+    lower_of[p] = lower;
+    upper_of[p] = upper;
+    lowers.push_back(lower);
+    uppers.push_back(upper);
+  }
+  std::sort(lowers.begin(), lowers.end());
+  std::sort(uppers.begin(), uppers.end());
+
+  for (std::size_t p = 0; p < n; ++p) {
+    if (bandits[p].state != PairState::kLive) continue;
+    if (bandits[p].pulls == 0) continue;
+    // Pairs that could rank below p: lower bound strictly below p's upper.
+    auto possibly_below = static_cast<std::size_t>(
+        std::lower_bound(lowers.begin(), lowers.end(), upper_of[p]) -
+        lowers.begin());
+    if (lower_of[p] < upper_of[p]) --possibly_below;  // Exclude p itself.
+    if (possibly_below + 1 <= k_count) {
+      bandits[p].state = PairState::kPrunedIn;
+      ++counts.pruned_in;
+      continue;
+    }
+    // Pairs certainly below p: upper bound strictly below p's lower.
+    auto certainly_below = static_cast<std::size_t>(
+        std::lower_bound(uppers.begin(), uppers.end(), lower_of[p]) -
+        uppers.begin());
+    if (certainly_below >= k_count) {
+      bandits[p].state = PairState::kPrunedOut;
+      ++counts.pruned_out;
+    }
+  }
+  return counts;
+}
+
+}  // namespace oracle
+
+/// A random bandit state for ULB: never-pulled arms (±inf bounds),
+/// exhausted arms (zero-width, some sitting exactly on another arm's
+/// bound), already-pruned arms, and live arms whose means and pull counts
+/// come from small sets so bounds tie exactly.
+std::vector<internal::PairBandit> RandomBandits(core::Rng& rng, std::size_t n,
+                                                std::int64_t tau) {
+  using internal::PairState;
+  static constexpr std::int64_t kPulls[] = {1, 2, 3, 8, 40, 1000, 200000};
+  static constexpr double kMeans[] = {0.0, 0.125, 0.25, 0.5, 0.75, 1.0};
+  // Per-state weights vary by state so some draws are mostly live, others
+  // mostly exhausted or unpulled.
+  const double unpulled = rng.Uniform(0.0, 0.3);
+  const double exhausted = rng.Uniform(0.0, 0.4);
+  const double frozen = rng.Uniform(0.0, 0.2);
+  const double log_tau =
+      std::log(std::max<double>(2.0, static_cast<double>(tau)));
+  std::vector<internal::PairBandit> bandits(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    internal::PairBandit& arm = bandits[p];
+    const double roll = rng.Uniform(0.0, 1.0);
+    if (roll < unpulled) continue;  // Live, never pulled.
+    arm.pulls = kPulls[rng.Index(std::size(kPulls))];
+    const double mean = rng.Bernoulli(0.5) ? kMeans[rng.Index(std::size(kMeans))]
+                                           : rng.Uniform(0.0, 1.0);
+    arm.sum = mean * static_cast<double>(arm.pulls);
+    if (roll < unpulled + exhausted) {
+      arm.state = PairState::kExhausted;
+      if (p > 0 && rng.Bernoulli(0.5)) {
+        // Exact score equal to an earlier pulled arm's bound.
+        const internal::PairBandit& other = bandits[rng.Index(p)];
+        if (other.pulls > 0) {
+          const double radius = std::sqrt(
+              2.0 * log_tau / static_cast<double>(other.pulls));
+          arm.pulls = 1;
+          arm.sum = rng.Bernoulli(0.5) ? other.SampleMean() + radius
+                                       : other.SampleMean() - radius;
+        }
+      } else if (rng.Bernoulli(0.1)) {
+        arm.pulls = 0;  // Every pull failed: exact score 0.5.
+        arm.sum = 0.0;
+      }
+    } else if (roll < unpulled + exhausted + frozen) {
+      arm.state = rng.Bernoulli(0.5) ? PairState::kPrunedIn
+                                     : PairState::kPrunedOut;
+    }
+  }
+  return bandits;
+}
+
+TEST(UlbOracleTest, OrderStatisticsMatchSortAndCount) {
+  core::Rng rng(2023);
+  internal::UlbScratch scratch, oracle_scratch;
+  internal::UlbCounts total;
+  for (std::size_t n : {1u, 2u, 17u, 257u, 1600u}) {
+    const int trials = n >= 1000 ? 60 : 400;
+    for (std::size_t k : {std::size_t{1}, n - 1, n}) {
+      for (int trial = 0; trial < trials; ++trial) {
+        const std::int64_t tau = rng.UniformInt(1, 100000);
+        std::vector<internal::PairBandit> bandits =
+            RandomBandits(rng, n, tau);
+        std::vector<internal::PairBandit> expected = bandits;
+        const internal::UlbCounts counts =
+            internal::RunUlb(bandits, tau, k, scratch);
+        const internal::UlbCounts expected_counts =
+            oracle::RunUlb(expected, tau, k, oracle_scratch);
+        ASSERT_EQ(counts.pruned_in, expected_counts.pruned_in)
+            << "n " << n << " k " << k << " trial " << trial;
+        ASSERT_EQ(counts.pruned_out, expected_counts.pruned_out)
+            << "n " << n << " k " << k << " trial " << trial;
+        for (std::size_t p = 0; p < n; ++p) {
+          ASSERT_EQ(bandits[p].state, expected[p].state)
+              << "n " << n << " k " << k << " trial " << trial << " arm "
+              << p;
+        }
+        total.pruned_in += counts.pruned_in;
+        total.pruned_out += counts.pruned_out;
+      }
+    }
+  }
+  // Both transitions were exercised.
+  EXPECT_GT(total.pruned_in, 0);
+  EXPECT_GT(total.pruned_out, 0);
+}
+
 class TMergeBudgetTest : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(TMergeBudgetTest, LargerBudgetsKeepFindingTruth) {
