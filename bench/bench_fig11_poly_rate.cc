@@ -32,8 +32,8 @@ void Run() {
     merge::TMergeSelector selector(tmerge_options);
     merge::SelectorOptions options;
     options.k_fraction = 0.10;
-    merge::EvalResult eval =
-        merge::EvaluateSelectorOnVideos(env.prepared, selector, options);
+    merge::EvalResult eval = merge::EvaluateDataset(
+        env.prepared, selector, options, /*num_threads=*/1);
 
     std::int64_t pairs = env.TotalPairs();
     std::int64_t poly = env.TotalTruth();

@@ -7,7 +7,6 @@
 
 #include "tmerge/core/sim_clock.h"
 #include "tmerge/core/status.h"
-#include "tmerge/merge/index_support.h"
 
 namespace tmerge::merge {
 
@@ -71,16 +70,6 @@ SelectionResult LcbSelector::Select(const PairContext& context,
   // sum / pulls, refreshed on every successful pull of the pair.
   std::vector<double> mean(num_pairs, 0.0);
 
-  // Cluster router (§15.3): routed-out pairs never enter the bandit — no
-  // initial pull, never eligible in the argmin — and keep score 1.0.
-  // Representatives go through the guard so injected embed faults admit
-  // the pair instead of crashing.
-  const internal::RouterOutcome routing = internal::RoutePairs(
-      context, cache, options.index, [&](const reid::CropRef& crop) {
-        return guard.TryGet(crop).valid();
-      });
-  result.routed_out_pairs = routing.routed_out;
-
   auto evaluate_pair = [&](std::size_t p) {
     auto [row, col] = samplers[p].Sample(rng);
     reid::CropRef crop_a = context.CropsA(p)[row];
@@ -113,18 +102,17 @@ SelectionResult LcbSelector::Select(const PairContext& context,
   // One initial pull per pair so every bound is defined.
   std::int64_t tau = 0;
   for (std::size_t p = 0; p < num_pairs && tau < tau_max; ++p) {
-    if (!routing.Admitted(p)) continue;
     if (samplers[p].Exhausted()) continue;
     evaluate_pair(p);
     ++tau;
   }
 
-  // The arms still eligible for the arg-min — admitted and not
-  // exhausted — in ascending index order.
+  // The arms still eligible for the arg-min — those not exhausted — in
+  // ascending index order.
   std::vector<std::size_t> active;
   active.reserve(num_pairs);
   for (std::size_t p = 0; p < num_pairs; ++p) {
-    if (routing.Admitted(p) && !samplers[p].Exhausted()) active.push_back(p);
+    if (!samplers[p].Exhausted()) active.push_back(p);
   }
 
   for (; tau < tau_max; ++tau) {

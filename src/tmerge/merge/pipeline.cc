@@ -252,12 +252,6 @@ EvalResult EvaluateDataset(const std::vector<PreparedVideo>& videos,
   return total;
 }
 
-EvalResult EvaluateSelectorOnVideos(const std::vector<PreparedVideo>& videos,
-                                    CandidateSelector& selector,
-                                    const SelectorOptions& options) {
-  return EvaluateDataset(videos, selector, options, /*num_threads=*/1);
-}
-
 EvalResult EvaluateSelectorAveraged(const std::vector<PreparedVideo>& videos,
                                     CandidateSelector& selector,
                                     const SelectorOptions& options,

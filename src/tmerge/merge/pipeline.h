@@ -135,12 +135,6 @@ EvalResult EvaluateDataset(const std::vector<PreparedVideo>& videos,
                            const SelectorOptions& options,
                            int num_threads = 1);
 
-/// Serial alias of EvaluateDataset (the pre-threading name, kept for the
-/// existing benches/tests that sweep selectors on one thread).
-EvalResult EvaluateSelectorOnVideos(const std::vector<PreparedVideo>& videos,
-                                    CandidateSelector& selector,
-                                    const SelectorOptions& options);
-
 /// Runs EvaluateDataset `trials` times with derived seeds and averages
 /// REC/FPS/time/counter fields (the paper reports the average of 10
 /// independent trials per experiment; benches here default to 3).

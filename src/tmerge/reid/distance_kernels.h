@@ -2,7 +2,6 @@
 #define TMERGE_REID_DISTANCE_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "tmerge/reid/feature.h"
@@ -11,7 +10,7 @@ namespace tmerge::reid::kernels {
 
 /// Distance kernels underneath every selector inner loop. Two properties
 /// matter more than raw FLOPs here (DESIGN.md §10 "Memory layout &
-/// kernels", §15 "Million-track candidate index"):
+/// kernels"):
 ///
 ///   1. *Bit-compatibility.* Every dispatched kernel accumulates each
 ///      output element in exactly the same order as the scalar reference
@@ -45,7 +44,7 @@ namespace tmerge::reid::kernels {
 enum class KernelLevel : int {
   kScalar = 0,  ///< Straight-line reference loops.
   kSse2 = 1,    ///< 2-lane double blocks (baseline x86-64).
-  kAvx2 = 2,    ///< 4-lane double / 8-lane float blocks.
+  kAvx2 = 2,    ///< 4-lane double blocks.
   kAvx512 = 3,  ///< 8-lane double blocks (avx512f).
 };
 
@@ -62,8 +61,9 @@ std::vector<KernelLevel> SupportedKernelLevels();
 /// default is the detected best level — or the TMERGE_KERNEL_LEVEL
 /// environment override, applied once at first query with the same
 /// strict parsing as the other TMERGE_* knobs (exact level name; junk
-/// warns on stderr and is ignored) — or kScalar when the library was
-/// built with -DTMERGE_SCALAR_KERNELS=ON.
+/// warns on stderr and is ignored). This is the only kernel-selection
+/// knob; tests pin a level with SetKernelLevel and restore the previous
+/// CurrentKernelLevel() afterwards.
 KernelLevel CurrentKernelLevel();
 
 /// Routes subsequent kernel calls to `level`. Returns false (and leaves
@@ -77,13 +77,6 @@ const char* KernelLevelName(KernelLevel level);
 /// Strict parser for TMERGE_KERNEL_LEVEL-style values: accepts exactly
 /// the four level names, nothing else. Returns false on junk.
 bool ParseKernelLevel(const char* text, KernelLevel* out);
-
-/// True when the dispatching entry points route to the scalar reference
-/// (CurrentKernelLevel() == kScalar). Kept for the PR 5-era toggle API:
-/// SetUseScalarKernels(true) pins kScalar, SetUseScalarKernels(false)
-/// restores the session default (detected best or the env override).
-bool UseScalarKernels();
-void SetUseScalarKernels(bool scalar);
 
 /// Reference implementation: straight-line loop, one accumulator, index
 /// order. Always available regardless of the dispatch level; differential
@@ -109,8 +102,7 @@ double Distance(FeatureView a, FeatureView b);
 /// SquaredDistance(query, many[i], dim) — same bits at every dispatch
 /// level — but the batched form amortizes call overhead and keeps the
 /// query row hot in L1 across the sweep. This is the BL/PS full-sweep and
-/// "-B" scoring kernel, and the exact re-rank kernel of the candidate
-/// index (DESIGN.md §15).
+/// "-B" scoring kernel.
 void OneVsManySquared(const double* query, const double* const* many,
                       std::size_t count, std::size_t dim, double* out);
 
@@ -126,45 +118,6 @@ void OneVsManySquared(const double* query, const double* const* many,
 /// sqrt+div round trip per element.
 void NormalizedFromSquaredMany(const double* squared, std::size_t count,
                                double scale, double* out);
-
-// --- Quantized screening kernels (DESIGN.md §15.2) ----------------------
-//
-// The compact-slab screen runs over int8- or fp16-mirrored rows
-// (reid::FeatureStore quantized mirrors). These kernels are NOT
-// bit-compatible with the fp64 kernels above — they feed the approximate
-// screening phase only, and the exact fp64 re-rank restores the final
-// ranking bit for bit. They ARE bit-identical across dispatch levels:
-// the int8 kernel reduces to exact int32 dot products (integer addition
-// is associative, so any SIMD summation order yields the same integers)
-// finished by one fixed double-precision epilogue, and the fp16 kernel
-// widens halves exactly (F16C converts identically to the software
-// HalfToFloat) and accumulates fp32 per-lane in index order — so a
-// screen shortlist never depends on the host's SIMD tier.
-
-/// out[i] = |query_scale*query - many_scales[i]*many[i]|^2 over the
-/// dequantized rows, reconstructed from exact int32 dot products
-///   qs^2*sum(q^2) + bs^2*sum(b^2) - 2*qs*bs*sum(q*b)
-/// evaluated once in double and clamped at zero. Symmetric int8
-/// quantization: real value = scale * q. The int32 dots bound dim at
-/// ~130k elements — far beyond any real feature dimension.
-void Int8OneVsManySquared(const std::int8_t* query, float query_scale,
-                          const std::int8_t* const* many,
-                          const float* many_scales, std::size_t count,
-                          std::size_t dim, float* out);
-
-/// out[i] = sum_j (half_to_float(query[j]) - half_to_float(many[i][j]))^2,
-/// accumulated in fp32 in index order. Halves are IEEE binary16 stored in
-/// uint16_t; widening to fp32 is exact.
-void Fp16OneVsManySquared(const std::uint16_t* query,
-                          const std::uint16_t* const* many,
-                          std::size_t count, std::size_t dim, float* out);
-
-/// IEEE binary16 <-> binary32 conversions (round-to-nearest-even on
-/// narrowing; widening is exact). Software implementations, used by the
-/// mirror build and the scalar quantized kernels; the SIMD quantized
-/// paths produce identical bits (F16C converts identically).
-std::uint16_t FloatToHalf(float value);
-float HalfToFloat(std::uint16_t half);
 
 }  // namespace tmerge::reid::kernels
 

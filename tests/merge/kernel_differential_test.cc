@@ -24,13 +24,20 @@
 namespace tmerge::merge {
 namespace {
 
-class ScopedKernelMode {
+namespace k = reid::kernels;
+
+/// Restores the dispatch level on scope exit. `saved()` is the level in
+/// force when the scope opened: the session default (detected best or the
+/// TMERGE_KERNEL_LEVEL override).
+class ScopedKernelLevel {
  public:
-  ScopedKernelMode() : saved_(reid::kernels::UseScalarKernels()) {}
-  ~ScopedKernelMode() { reid::kernels::SetUseScalarKernels(saved_); }
+  ScopedKernelLevel() : saved_(k::CurrentKernelLevel()) {}
+  ~ScopedKernelLevel() { k::SetKernelLevel(saved_); }
+
+  k::KernelLevel saved() const { return saved_; }
 
  private:
-  bool saved_;
+  k::KernelLevel saved_;
 };
 
 std::vector<std::pair<std::string, std::unique_ptr<CandidateSelector>>>
@@ -45,8 +52,8 @@ AllSelectors() {
 
 SelectionResult RunOnce(CandidateSelector& selector,
                         const testing::MergeScenario& scenario,
-                        std::int32_t batch_size, bool scalar) {
-  reid::kernels::SetUseScalarKernels(scalar);
+                        std::int32_t batch_size, k::KernelLevel level) {
+  EXPECT_TRUE(k::SetKernelLevel(level));
   reid::FeatureCache cache;
   SelectorOptions options;
   options.batch_size = batch_size;
@@ -76,14 +83,14 @@ void ExpectBitIdentical(const SelectionResult& vec,
 }
 
 TEST(KernelDifferentialTest, AllSelectorsBitIdenticalAcrossKernelPaths) {
-  ScopedKernelMode restore;
+  ScopedKernelLevel restore;
   testing::MergeScenario scenario;
   for (auto& [name, selector] : AllSelectors()) {
     for (std::int32_t batch_size : {1, 4}) {
       SelectionResult vectorized =
-          RunOnce(*selector, scenario, batch_size, /*scalar=*/false);
+          RunOnce(*selector, scenario, batch_size, restore.saved());
       SelectionResult scalar =
-          RunOnce(*selector, scenario, batch_size, /*scalar=*/true);
+          RunOnce(*selector, scenario, batch_size, k::KernelLevel::kScalar);
       ExpectBitIdentical(vectorized, scalar,
                          name + " B=" + std::to_string(batch_size));
       // Sanity: the runs did real work, so the comparison is not vacuous.
@@ -93,20 +100,12 @@ TEST(KernelDifferentialTest, AllSelectorsBitIdenticalAcrossKernelPaths) {
   }
 }
 
-// Per-level sweep (§15.1): every dispatch tier this host supports returns
+// Per-level sweep (§10.2): every dispatch tier this host supports returns
 // the scalar run's SelectionResult bit for bit, for all four selectors.
 // Unsupported tiers are simply absent from SupportedKernelLevels(); the
 // parameterized suite in reid/distance_kernels_test.cc logs those skips.
 TEST(KernelDifferentialTest, AllSelectorsBitIdenticalAtEverySupportedLevel) {
-  namespace k = reid::kernels;
-  class ScopedLevel {
-   public:
-    ScopedLevel() : saved_(k::CurrentKernelLevel()) {}
-    ~ScopedLevel() { k::SetKernelLevel(saved_); }
-
-   private:
-    k::KernelLevel saved_;
-  } restore;
+  ScopedKernelLevel restore;
 
   testing::MergeScenario scenario;
   auto run_at = [&](CandidateSelector& selector, k::KernelLevel level) {
@@ -132,7 +131,7 @@ TEST(KernelDifferentialTest, AllSelectorsBitIdenticalAtEverySupportedLevel) {
 // Dataset-level: kernel path x thread count over two dataset profiles, all
 // four combinations bit-identical in every deterministic EvalResult field.
 TEST(KernelDifferentialTest, DatasetEvalBitIdenticalAcrossKernelsAndThreads) {
-  ScopedKernelMode restore;
+  ScopedKernelLevel restore;
   for (sim::DatasetProfile profile :
        {sim::DatasetProfile::kKittiLike, sim::DatasetProfile::kMot17Like}) {
     sim::Dataset dataset = sim::MakeDataset(profile, 2, /*seed=*/13);
@@ -146,10 +145,11 @@ TEST(KernelDifferentialTest, DatasetEvalBitIdenticalAcrossKernelsAndThreads) {
     SelectorOptions options;
     options.seed = 3;
 
-    reid::kernels::SetUseScalarKernels(true);
+    ASSERT_TRUE(k::SetKernelLevel(k::KernelLevel::kScalar));
     EvalResult reference = EvaluateDataset(prepared, selector, options, 1);
     for (bool scalar : {false, true}) {
-      reid::kernels::SetUseScalarKernels(scalar);
+      ASSERT_TRUE(k::SetKernelLevel(scalar ? k::KernelLevel::kScalar
+                                           : restore.saved()));
       for (int threads : {1, 8}) {
         if (scalar && threads == 1) continue;  // That is the reference run.
         EvalResult eval = EvaluateDataset(prepared, selector, options,

@@ -90,7 +90,7 @@ TEST(EvaluateSelectorTest, RecallCountsUnreachablePairsAsMisses) {
   EXPECT_LE(eval.rec, 1.0);
 }
 
-TEST(EvaluateSelectorOnVideosTest, Aggregates) {
+TEST(EvaluateDatasetTest, Aggregates) {
   sim::Dataset dataset = sim::MakeDataset(sim::DatasetProfile::kKittiLike, 2,
                                           31);
   track::SortTracker tracker;
@@ -100,7 +100,8 @@ TEST(EvaluateSelectorOnVideosTest, Aggregates) {
       PrepareDataset(dataset, tracker, config);
   TMergeSelector selector;
   SelectorOptions options;
-  EvalResult total = EvaluateSelectorOnVideos(prepared, selector, options);
+  EvalResult total =
+      EvaluateDataset(prepared, selector, options, /*num_threads=*/1);
   std::int64_t frames = 0;
   for (const auto& video : dataset.videos) frames += video.num_frames;
   EXPECT_EQ(total.frames, frames);
