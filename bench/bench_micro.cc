@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the hot operations underneath the
-// selectors: Beta sampling (core::BetaSampler), the bandits' bookkeeping
+// selectors: θ block sampling (core::BetaSampler), the bandits' bookkeeping
 // (ULB pruning, BoxPairSampler draws, an LCB round), Hungarian assignment,
 // Kalman filtering, synthetic ReID embedding + distance, one TMerge
 // Thompson round — plus the slab/kernel hot path this repo optimizes:
@@ -24,6 +24,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -48,54 +49,36 @@
 namespace tmerge {
 namespace {
 
-void BM_BetaSample(benchmark::State& state) {
-  core::BetaSampler sampler(1);
-  core::BetaPosterior beta(3.0, 7.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(beta.Sample(sampler));
-  }
-}
-BENCHMARK(BM_BetaSample);
-
 /// `arms` posteriors with S in [1, 40] and F in [1, 60], the spread a
-/// τ=10k window's arms reach.
-std::vector<core::BetaPosterior> ThompsonArms(std::size_t arms) {
+/// τ=10k window's arms reach, as the block sampler's SoA shapes.
+core::BetaShapes ThompsonArms(std::size_t arms) {
   core::Rng rng(2);
-  std::vector<core::BetaPosterior> bandits;
-  bandits.reserve(arms);
+  core::BetaShapes shapes;
   for (std::size_t p = 0; p < arms; ++p) {
-    bandits.emplace_back(static_cast<double>(rng.UniformInt(1, 40)),
-                         static_cast<double>(rng.UniformInt(1, 60)));
+    const auto s = static_cast<double>(rng.UniformInt(1, 40));
+    const auto f = static_cast<double>(rng.UniformInt(1, 60));
+    shapes.PushBack(core::BetaPosterior(s, f));
   }
-  return bandits;
+  return shapes;
 }
 
-/// One TMerge iteration's dominant bookkeeping: a θ per live arm and the
-/// running arg-min (merge::TMergeSelector's unbatched loop).
-std::size_t ThompsonRound(const std::vector<core::BetaPosterior>& bandits,
+/// One TMerge iteration's dominant bookkeeping: a θ per live arm from the
+/// block sampler and the arg-min (merge::TMergeSelector's unbatched loop).
+std::size_t ThompsonRound(const core::BetaShapes& shapes,
                           core::BetaSampler& sampler) {
-  std::size_t best = 0;
-  double best_theta = bandits[0].Sample(sampler);
-  for (std::size_t p = 1; p < bandits.size(); ++p) {
-    const double theta = bandits[p].Sample(sampler);
-    if (theta < best_theta) {
-      best_theta = theta;
-      best = p;
-    }
-  }
-  return best;
+  return core::ArgMinTheta(sampler.Draw(shapes));
 }
 
 void BM_ThompsonRound(benchmark::State& state) {
-  const std::vector<core::BetaPosterior> bandits =
+  const core::BetaShapes shapes =
       ThompsonArms(static_cast<std::size_t>(state.range(0)));
   core::BetaSampler sampler(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ThompsonRound(bandits, sampler));
+    benchmark::DoNotOptimize(ThompsonRound(shapes, sampler));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ThompsonRound)->Arg(100)->Arg(400)->Arg(1600);
+BENCHMARK(BM_ThompsonRound)->Arg(9)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_Hungarian(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -534,15 +517,26 @@ void RunKernelLevelSection() {
 
 /// The TMerge hot loop: ns per Beta draw (a 300-arm round's time per arm,
 /// the batch-pathtrack window size) and ns per unbatched Thompson round
-/// at 100, 400 and 1600 live arms.
+/// at 100, 400 and 1600 live arms, on the session's kernel level. Also
+/// `resume_lanes`: how many arms of 1000 fixed-seed 300-arm rounds left
+/// the block's fast path — a deterministic count, so a change in the
+/// miss rule shows as a changed count.
 void RunThompsonSection() {
   ResetPeakRss();
   constexpr std::size_t kDrawArms = 300;
   constexpr std::size_t kArmCounts[] = {kDrawArms, 100, 400, 1600};
   const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<core::BetaPosterior>> rounds;
+  std::vector<core::BetaShapes> rounds;
   rounds.reserve(std::size(kArmCounts));
   for (std::size_t arms : kArmCounts) rounds.push_back(ThompsonArms(arms));
+  std::int64_t resume_lanes = 0;
+  {
+    core::BetaSampler counting(5);
+    for (int r = 0; r < 1000; ++r) {
+      counting.Draw(rounds[0]);
+      resume_lanes += static_cast<std::int64_t>(counting.resumed());
+    }
+  }
   core::BetaSampler sampler(4);
   std::vector<double> round_ns(rounds.size(), kInf);
   for (int r = 0; r < 7; ++r) {
@@ -558,7 +552,8 @@ void RunThompsonSection() {
     }
   }
   std::vector<std::pair<std::string, double>> fields = {
-      {"beta_draw_ns", round_ns[0] / static_cast<double>(kDrawArms)}};
+      {"beta_draw_ns", round_ns[0] / static_cast<double>(kDrawArms)},
+      {"resume_lanes", static_cast<double>(resume_lanes)}};
   for (std::size_t i = 1; i < rounds.size(); ++i) {
     const std::string arms = std::to_string(kArmCounts[i]);
     fields.emplace_back("arms_" + arms, static_cast<double>(kArmCounts[i]));

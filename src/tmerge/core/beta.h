@@ -1,15 +1,14 @@
 #ifndef TMERGE_CORE_BETA_H_
 #define TMERGE_CORE_BETA_H_
 
-#include "tmerge/core/beta_sampler.h"
-
 namespace tmerge::core {
 
 /// A Beta(S, F) posterior over a Bernoulli success probability, used by the
 /// TMerge Thompson-sampling loop (paper §IV-B). `S` counts observed
 /// successes (Bernoulli output r = 1) and `F` failures (r = 0); the
 /// distribution is the conjugate posterior after those observations starting
-/// from the prior encoded in the initial (S, F).
+/// from the prior encoded in the initial (S, F). Thompson samples of it
+/// come from core::BetaSampler over its BetaShapes constants.
 ///
 /// In TMerge a *lower* mean means "BBox contents look more alike", because
 /// the Bernoulli success probability is the normalized ReID distance.
@@ -32,11 +31,6 @@ class BetaPosterior {
   /// Posterior variance SF / ((S+F)^2 (S+F+1)).
   double Variance() const;
 
-  /// Draws a Thompson sample theta ~ Beta(S, F) from the cached shapes.
-  double Sample(BetaSampler& sampler) const {
-    return sampler.Beta(s_shape_, f_shape_);
-  }
-
   double s() const { return s_; }
   double f() const { return f_; }
 
@@ -46,10 +40,6 @@ class BetaPosterior {
  private:
   double s_;
   double f_;
-  // Gamma constants of S and F, refreshed whenever the counts change so
-  // Sample() does no per-draw setup.
-  GammaShape s_shape_;
-  GammaShape f_shape_;
 };
 
 }  // namespace tmerge::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "tmerge/core/beta.h"
@@ -16,8 +17,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Mixed into the window seed for the θ stream (core::BetaSampler), which
-// is separate from the cell/Bernoulli stream (core::Rng, seed ^ 0x73A3).
+// Mixed into the window seed for the θ stream (core::BetaSampler's eight
+// lanes), which is separate from the cell/Bernoulli stream (core::Rng,
+// seed ^ 0x73A3).
 constexpr std::uint64_t kThetaSeedSalt = 0x5EED'7E7A'B37AULL;
 
 using internal::PairBandit;
@@ -221,66 +223,65 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
   };
 
   // --- Main Thompson-sampling loop (Algorithm 2, Lines 3-14). ---
-  // `live` lists the kLive pairs in ascending index order, so θ is drawn
-  // in the order a scan over all pairs would draw it. Pairs leave kLive
-  // only in finish_evaluation and RunUlb, which set live_changed.
+  // `live` lists the kLive pairs in ascending index order and `shapes`
+  // holds their Gamma constants in the same order, so the live pair at
+  // position i draws θ on lane i mod 8 (DESIGN.md §4.1). A pull refreshes
+  // its pair's shapes; pairs leave kLive only in finish_evaluation and
+  // RunUlb, which set live_changed, and both lists compact together.
   std::vector<std::size_t> live;
   live.reserve(num_pairs);
+  core::BetaShapes shapes;
   for (std::size_t p = 0; p < num_pairs; ++p) {
-    if (bandits[p].state == PairState::kLive) live.push_back(p);
+    if (bandits[p].state != PairState::kLive) continue;
+    live.push_back(p);
+    shapes.PushBack(bandits[p].beta);
   }
 
   std::int64_t tau = 0;
   std::int64_t next_ulb = options_.ulb_period;
   internal::UlbScratch ulb_scratch;
+  // TMerge-B round buffers, reused across rounds: (θ, live position).
   std::vector<std::pair<double, std::size_t>> draws;
-  // TMerge-B round buffers, reused across rounds.
   std::vector<reid::CropRef> crops;
   std::vector<std::pair<reid::CropRef, reid::CropRef>> pending;
-  std::vector<std::size_t> chosen;
   while (tau < tau_max) {
     meter.ChargeOverhead(static_cast<std::int64_t>(live.size()));
     if (live.empty()) break;
+    const std::span<const double> theta = theta_rng.Draw(shapes);
 
     if (batched) {
       draws.clear();
-      for (std::size_t p : live) {
-        draws.emplace_back(bandits[p].beta.Sample(theta_rng), p);
+      for (std::size_t i = 0; i < theta.size(); ++i) {
+        draws.emplace_back(theta[i], i);
       }
       const std::size_t take = std::min<std::size_t>(
           {static_cast<std::size_t>(options.batch_size), draws.size(),
            static_cast<std::size_t>(tau_max - tau)});
+      // Live positions ascend with pair indices, so (θ, position) orders
+      // exactly as (θ, pair) would.
       std::partial_sort(draws.begin(), draws.begin() + take, draws.end());
       crops.clear();
       pending.resize(take);
-      chosen.resize(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        chosen[i] = draws[i].second;
-        pending[i] = evaluate_one(chosen[i], &crops);
+      for (std::size_t j = 0; j < take; ++j) {
+        pending[j] = evaluate_one(live[draws[j].second], &crops);
       }
       // Prefetch the round's crops in one batched call; crops that fail
       // here are retried on the single path inside finish_evaluation
       // (charge-identical to GetOrEmbedBatch + GetOrEmbed when disarmed).
       guard.TryGetBatch(crops);
-      for (std::size_t i = 0; i < take; ++i) {
-        finish_evaluation(chosen[i], pending[i].first, pending[i].second);
+      for (std::size_t j = 0; j < take; ++j) {
+        const std::size_t i = draws[j].second;
+        finish_evaluation(live[i], pending[j].first, pending[j].second);
+        shapes.Set(i, bandits[live[i]].beta);
       }
       tau += static_cast<std::int64_t>(take);
     } else {
-      // Running arg-min; the strict `<` over ascending indices breaks
-      // ties toward the lower index, the (θ, p) order's minimum.
-      std::size_t best = live.front();
-      double best_theta = bandits[best].beta.Sample(theta_rng);
-      for (std::size_t i = 1; i < live.size(); ++i) {
-        const std::size_t p = live[i];
-        const double theta = bandits[p].beta.Sample(theta_rng);
-        if (theta < best_theta) {
-          best_theta = theta;
-          best = p;
-        }
-      }
-      auto [crop_a, crop_b] = evaluate_one(best, nullptr);
-      finish_evaluation(best, crop_a, crop_b);
+      // Ties go to the lower position, i.e. the lower pair index: the
+      // (θ, p) order's minimum.
+      const std::size_t best = core::ArgMinTheta(theta);
+      auto [crop_a, crop_b] = evaluate_one(live[best], nullptr);
+      finish_evaluation(live[best], crop_a, crop_b);
+      shapes.Set(best, bandits[live[best]].beta);
       ++tau;
     }
 
@@ -294,9 +295,15 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
       live_changed |= counts.pruned_in + counts.pruned_out > 0;
     }
     if (live_changed) {
-      std::erase_if(live, [&](std::size_t p) {
-        return bandits[p].state != PairState::kLive;
-      });
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        if (bandits[live[i]].state != PairState::kLive) continue;
+        live[kept] = live[i];
+        shapes.Move(i, kept);
+        ++kept;
+      }
+      live.resize(kept);
+      shapes.Truncate(kept);
       live_changed = false;
     }
   }

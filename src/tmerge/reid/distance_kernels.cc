@@ -1,30 +1,20 @@
 #include "tmerge/reid/distance_kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
-// Function multiversioning: the AVX2/AVX-512 kernels below are compiled
-// with per-function target attributes so the translation unit itself
-// stays buildable at the baseline arch. GCC and clang both support this
-// on x86-64; elsewhere the dispatch tops out at whatever the global
-// flags provide. NOTE the target strings deliberately exclude "fma":
-// contraction of mul+add into fused ops would change the rounding of the
-// accumulation chain and break the bit-identity contract against the
-// scalar/SSE2 paths (this file is additionally built with
-// -ffp-contract=off, see src/CMakeLists.txt).
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TMERGE_KERNEL_MULTIVERSION 1
+// The AVX2 kernels below are multiversioned (core/kernel_level.h). NOTE
+// the target strings deliberately exclude "fma": contraction of mul+add
+// into fused ops would change the rounding of the accumulation chain and
+// break the bit-identity contract against the scalar/SSE2 paths (this
+// file is additionally built with -ffp-contract=off, see
+// src/CMakeLists.txt).
+#if TMERGE_KERNEL_MULTIVERSION
 #include <immintrin.h>
-#else
-#define TMERGE_KERNEL_MULTIVERSION 0
 #endif
 
 #include "tmerge/core/status.h"
@@ -236,47 +226,7 @@ __attribute__((target("avx2"))) void Avx2OneVsMany(
   }
 }
 
-/// AVX-512 eight-row block: one 8-lane vector carries all eight row
-/// accumulators. avx512f only — no vl/bw needed, and no fma ever.
-__attribute__((target("avx512f"))) void EightRowsSquaredAvx512(
-    const double* TMERGE_RESTRICT q, const double* const* rows,
-    std::size_t dim, double* TMERGE_RESTRICT out) {
-  const double* TMERGE_RESTRICT b0 = rows[0];
-  const double* TMERGE_RESTRICT b1 = rows[1];
-  const double* TMERGE_RESTRICT b2 = rows[2];
-  const double* TMERGE_RESTRICT b3 = rows[3];
-  const double* TMERGE_RESTRICT b4 = rows[4];
-  const double* TMERGE_RESTRICT b5 = rows[5];
-  const double* TMERGE_RESTRICT b6 = rows[6];
-  const double* TMERGE_RESTRICT b7 = rows[7];
-  __m512d s = _mm512_setzero_pd();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const __m512d q_i = _mm512_set1_pd(q[i]);
-    // _mm512_set_pd packs (e7, ..., e0): lane 0 carries row 0.
-    const __m512d b = _mm512_set_pd(b7[i], b6[i], b5[i], b4[i], b3[i],
-                                    b2[i], b1[i], b0[i]);
-    const __m512d d = _mm512_sub_pd(q_i, b);
-    s = _mm512_add_pd(s, _mm512_mul_pd(d, d));
-  }
-  _mm512_storeu_pd(out, s);
-}
-
-__attribute__((target("avx512f"))) void Avx512OneVsMany(
-    const double* query, const double* const* many, std::size_t count,
-    std::size_t dim, double* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    EightRowsSquaredAvx512(query, many + i, dim, out + i);
-  }
-  for (; i + 4 <= count; i += 4) {
-    FourRowsSquaredAvx2(query, many + i, dim, out + i);
-  }
-  for (; i < count; ++i) {
-    out[i] = UnrolledSquared(query, many[i], dim);
-  }
-}
-
-/// AVX2/AVX-512 normalize epilogues. vsqrtpd and vdivpd are IEEE
+/// AVX2 normalize epilogue. vsqrtpd and vdivpd are IEEE
 /// correctly-rounded at every width, so each lane reproduces the scalar
 /// sqrt/div/clamp chain bit for bit.
 __attribute__((target("avx2"))) void NormalizeManyAvx2(
@@ -296,137 +246,9 @@ __attribute__((target("avx2"))) void NormalizeManyAvx2(
   }
 }
 
-__attribute__((target("avx512f"))) void NormalizeManyAvx512(
-    const double* squared, std::size_t count, double scale, double* out) {
-  const __m512d scale8 = _mm512_set1_pd(scale);
-  const __m512d zero8 = _mm512_setzero_pd();
-  const __m512d one8 = _mm512_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m512d d =
-        _mm512_div_pd(_mm512_sqrt_pd(_mm512_loadu_pd(squared + i)), scale8);
-    _mm512_storeu_pd(out + i, _mm512_min_pd(_mm512_max_pd(d, zero8), one8));
-  }
-  for (; i < count; ++i) {
-    const double d = std::sqrt(squared[i]) / scale;
-    out[i] = std::clamp(d, 0.0, 1.0);
-  }
-}
-
 #endif  // TMERGE_KERNEL_MULTIVERSION
 
-KernelLevel ComputeDefaultLevel() {
-  const KernelLevel level = DetectedKernelLevel();
-  const char* env = std::getenv("TMERGE_KERNEL_LEVEL");
-  if (env == nullptr || *env == '\0') return level;
-  KernelLevel parsed;
-  // Strict like the other TMERGE_* knobs (TMERGE_OBS policy): a typo must
-  // never silently decide which kernel tier a run measures.
-  if (!ParseKernelLevel(env, &parsed)) {
-    std::fprintf(stderr,
-                 "tmerge: ignoring invalid TMERGE_KERNEL_LEVEL=\"%s\" "
-                 "(want scalar, sse2, avx2 or avx512); using %s\n",
-                 env, KernelLevelName(level));
-    return level;
-  }
-  if (!KernelLevelSupported(parsed)) {
-    std::fprintf(stderr,
-                 "tmerge: TMERGE_KERNEL_LEVEL=\"%s\" not supported on this "
-                 "host (best is %s); using %s\n",
-                 env, KernelLevelName(DetectedKernelLevel()),
-                 KernelLevelName(level));
-    return level;
-  }
-  return parsed;
-}
-
-/// Session default: the detected level, overridden once by the
-/// environment. Memoized via magic static (thread-safe), so a bad
-/// override warns once.
-KernelLevel DefaultLevel() {
-  static const KernelLevel level = ComputeDefaultLevel();
-  return level;
-}
-
-/// Current dispatch level. -1 = not yet initialized from DefaultLevel()
-/// (lazy so the env override applies before first use, without ordering
-/// against static initialization).
-std::atomic<int> g_level{-1};
-
 }  // namespace
-
-KernelLevel DetectedKernelLevel() {
-#if TMERGE_KERNEL_MULTIVERSION
-  static const KernelLevel detected = [] {
-    if (__builtin_cpu_supports("avx512f")) return KernelLevel::kAvx512;
-    if (__builtin_cpu_supports("avx2")) return KernelLevel::kAvx2;
-    return KernelLevel::kSse2;  // x86-64 baseline.
-  }();
-  return detected;
-#elif defined(__SSE2__)
-  return KernelLevel::kSse2;
-#else
-  return KernelLevel::kScalar;
-#endif
-}
-
-bool KernelLevelSupported(KernelLevel level) {
-  return static_cast<int>(level) <= static_cast<int>(DetectedKernelLevel());
-}
-
-std::vector<KernelLevel> SupportedKernelLevels() {
-  std::vector<KernelLevel> levels;
-  for (int l = 0; l <= static_cast<int>(DetectedKernelLevel()); ++l) {
-    levels.push_back(static_cast<KernelLevel>(l));
-  }
-  return levels;
-}
-
-KernelLevel CurrentKernelLevel() {
-  int value = g_level.load(std::memory_order_relaxed);
-  if (value >= 0) return static_cast<KernelLevel>(value);
-  const KernelLevel def = DefaultLevel();
-  int expected = -1;
-  g_level.compare_exchange_strong(expected, static_cast<int>(def),
-                                  std::memory_order_relaxed);
-  return static_cast<KernelLevel>(g_level.load(std::memory_order_relaxed));
-}
-
-bool SetKernelLevel(KernelLevel level) {
-  if (!KernelLevelSupported(level)) return false;
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-  return true;
-}
-
-const char* KernelLevelName(KernelLevel level) {
-  switch (level) {
-    case KernelLevel::kScalar:
-      return "scalar";
-    case KernelLevel::kSse2:
-      return "sse2";
-    case KernelLevel::kAvx2:
-      return "avx2";
-    case KernelLevel::kAvx512:
-      return "avx512";
-  }
-  return "unknown";
-}
-
-bool ParseKernelLevel(const char* text, KernelLevel* out) {
-  if (text == nullptr || out == nullptr) return false;
-  if (std::strcmp(text, "scalar") == 0) {
-    *out = KernelLevel::kScalar;
-  } else if (std::strcmp(text, "sse2") == 0) {
-    *out = KernelLevel::kSse2;
-  } else if (std::strcmp(text, "avx2") == 0) {
-    *out = KernelLevel::kAvx2;
-  } else if (std::strcmp(text, "avx512") == 0) {
-    *out = KernelLevel::kAvx512;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 double ScalarSquaredDistance(const double* a, const double* b,
                              std::size_t dim) {
@@ -468,9 +290,6 @@ void OneVsManySquared(const double* query, const double* const* many,
       }
       return;
 #if TMERGE_KERNEL_MULTIVERSION
-    case KernelLevel::kAvx512:
-      Avx512OneVsMany(query, many, count, dim, out);
-      return;
     case KernelLevel::kAvx2:
       Avx2OneVsMany(query, many, count, dim, out);
       return;
@@ -485,10 +304,6 @@ void NormalizedFromSquaredMany(const double* squared, std::size_t count,
                                double scale, double* out) {
   const KernelLevel level = CurrentKernelLevel();
 #if TMERGE_KERNEL_MULTIVERSION
-  if (level == KernelLevel::kAvx512) {
-    NormalizeManyAvx512(squared, count, scale, out);
-    return;
-  }
   if (level == KernelLevel::kAvx2) {
     NormalizeManyAvx2(squared, count, scale, out);
     return;

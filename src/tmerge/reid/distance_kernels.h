@@ -2,8 +2,8 @@
 #define TMERGE_REID_DISTANCE_KERNELS_H_
 
 #include <cstddef>
-#include <vector>
 
+#include "tmerge/core/kernel_level.h"
 #include "tmerge/reid/feature.h"
 
 namespace tmerge::reid::kernels {
@@ -19,8 +19,7 @@ namespace tmerge::reid::kernels {
 ///      identical SelectionResults under any of them. The wide variants
 ///      only exploit parallelism *across* independent outputs: on SSE2 two
 ///      rows share a 2-lane vector op, on AVX2 four rows share a 4-lane
-///      one, on AVX-512 eight rows an 8-lane one — IEEE arithmetic is
-///      per-lane, so lane k is row k's scalar chain bit for bit. No
+///      one — IEEE arithmetic is per-lane, so lane k is row k's scalar chain bit for bit. No
 ///      reduction is ever reassociated, and the SIMD paths are compiled
 ///      without FMA so mul+add cannot contract differently from the
 ///      scalar reference.
@@ -37,46 +36,17 @@ namespace tmerge::reid::kernels {
 /// parameter) must take the sqrt per element: the mean of squares ranks
 /// differently from the mean of roots.
 
-/// Instruction-set tier a kernel call dispatches to. Levels are ordered:
-/// a level is usable only when the CPU supports it (checked once via
-/// CPUID at startup) and the compiler could build it (function
-/// multiversioning via target attributes; GCC/clang on x86-64).
-enum class KernelLevel : int {
-  kScalar = 0,  ///< Straight-line reference loops.
-  kSse2 = 1,    ///< 2-lane double blocks (baseline x86-64).
-  kAvx2 = 2,    ///< 4-lane double blocks.
-  kAvx512 = 3,  ///< 8-lane double blocks (avx512f).
-};
-
-/// Highest level this host supports (CPUID + compiler), memoized.
-KernelLevel DetectedKernelLevel();
-
-/// True when `level` can run on this host.
-bool KernelLevelSupported(KernelLevel level);
-
-/// Every level usable on this host, ascending (always includes kScalar).
-std::vector<KernelLevel> SupportedKernelLevels();
-
-/// The level the dispatching entry points currently route to. The
-/// default is the detected best level — or the TMERGE_KERNEL_LEVEL
-/// environment override, applied once at first query with the same
-/// strict parsing as the other TMERGE_* knobs (exact level name; junk
-/// warns on stderr and is ignored). This is the only kernel-selection
-/// knob; tests pin a level with SetKernelLevel and restore the previous
-/// CurrentKernelLevel() afterwards.
-KernelLevel CurrentKernelLevel();
-
-/// Routes subsequent kernel calls to `level`. Returns false (and leaves
-/// the level unchanged) when the host does not support it. Reads are
-/// relaxed atomic loads, one predictable branch per kernel call.
-bool SetKernelLevel(KernelLevel level);
-
-/// Display/parse name: "scalar", "sse2", "avx2", "avx512".
-const char* KernelLevelName(KernelLevel level);
-
-/// Strict parser for TMERGE_KERNEL_LEVEL-style values: accepts exactly
-/// the four level names, nothing else. Returns false on junk.
-bool ParseKernelLevel(const char* text, KernelLevel* out);
+/// Kernel dispatch is process-wide and shared with the θ block sampler
+/// (core/kernel_level.h); the names are re-exported here for the callers
+/// that pin a level around a kernel comparison.
+using core::CurrentKernelLevel;
+using core::DetectedKernelLevel;
+using core::KernelLevel;
+using core::KernelLevelName;
+using core::KernelLevelSupported;
+using core::ParseKernelLevel;
+using core::SetKernelLevel;
+using core::SupportedKernelLevels;
 
 /// Reference implementation: straight-line loop, one accumulator, index
 /// order. Always available regardless of the dispatch level; differential

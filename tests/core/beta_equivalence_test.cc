@@ -1,7 +1,9 @@
-// Statistical equivalence of core::BetaSampler (xoshiro256++, ziggurat
-// normal, cached Marsaglia–Tsang constants) with the reference sampler it
-// replaced in TMerge (Marsaglia–Tsang on core::Rng with a polar normal),
-// and of its ziggurat normal with the analytic N(0, 1).
+// Statistical equivalence of the θ stream with the reference sampler it
+// replaced in TMerge (Marsaglia–Tsang on core::Rng with a polar normal):
+// the block sampler core::BetaSampler (eight xoshiro256++ lanes, vector
+// fast path, exact scalar resume) for Beta draws and Thompson arg-mins,
+// the lanes' exact scalar Gamma (ThetaLane::Gamma, what a miss resumes
+// on), and the ziggurat normal against the analytic N(0, 1).
 //
 // The streams differ, so the check is distributional. Thresholds were
 // fixed before any measurement and are never tuned: the file computes
@@ -16,6 +18,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -122,6 +126,39 @@ double ScaledKs(std::vector<double> a, std::vector<double> b) {
 
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
+// Wilson–Hilferty: (chi2 / df)^(1/3) is normal with mean 1 - 2/(9 df) and
+// variance 2/(9 df).
+double ChiSquareZ(double chi2, double df) {
+  return (std::cbrt(chi2 / df) - (1.0 - 2.0 / (9.0 * df))) /
+         std::sqrt(2.0 / (9.0 * df));
+}
+
+// --- The θ stream under test ---------------------------------------------
+
+// One exact Gamma on a lane: a fresh first attempt, as a resume continues.
+double LaneGamma(ThetaLane& lane, const GammaShape& shape) {
+  const std::uint64_t normal_word = lane.Next();
+  const std::uint64_t uniform_word = lane.Next();
+  return lane.Gamma(shape, normal_word, uniform_word);
+}
+
+double LaneNormal(ThetaLane& lane) { return lane.Normal(lane.Next()); }
+
+// `n` Beta(alpha, beta) draws from the block sampler, 13 arms a round: a
+// full block and a partial one, so every lane and the padded path serve.
+std::vector<double> BlockBetas(BetaSampler& sampler, double alpha,
+                               double beta, int n) {
+  BetaShapes shapes;
+  for (int i = 0; i < 13; ++i) shapes.PushBack(BetaPosterior(alpha, beta));
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(n) + 13);
+  while (static_cast<int>(out.size()) < n) {
+    for (double theta : sampler.Draw(shapes)) out.push_back(theta);
+  }
+  out.resize(static_cast<std::size_t>(n));
+  return out;
+}
+
 // --- Gamma ---------------------------------------------------------------
 
 // Shape grid: below 1 (boosted path), the Beta(1, 1) prior's 1, BetaInit's
@@ -131,12 +168,12 @@ class GammaEquivalenceTest : public ::testing::TestWithParam<double> {};
 TEST_P(GammaEquivalenceTest, MatchesReference) {
   const double shape = GetParam();
   const auto salt = static_cast<std::uint64_t>(shape * 1000.0);
-  BetaSampler sampler(101 + salt);
+  ThetaLane lane(101 + salt);
   Rng rng(202 + salt);
   const GammaShape cached(shape);
   std::vector<double> fresh(kPairN), reference(kPairN);
   for (int i = 0; i < kPairN; ++i) {
-    fresh[i] = sampler.Gamma(cached);
+    fresh[i] = LaneGamma(lane, cached);
     reference[i] = ReferenceGamma(rng, shape);
   }
   const Moments a = MomentsOf(fresh), b = MomentsOf(reference);
@@ -148,10 +185,10 @@ TEST_P(GammaEquivalenceTest, MatchesReference) {
 TEST_P(GammaEquivalenceTest, MomentsMatchTheory) {
   // Gamma(a, 1): mean a, variance a, mu4 - sigma^4 = 2a^2 + 6a.
   const double a = GetParam();
-  BetaSampler sampler(303 + static_cast<std::uint64_t>(a * 1000.0));
+  ThetaLane lane(303 + static_cast<std::uint64_t>(a * 1000.0));
   const GammaShape cached(a);
   std::vector<double> xs(kTheoryN);
-  for (double& x : xs) x = sampler.Gamma(cached);
+  for (double& x : xs) x = LaneGamma(lane, cached);
   const Moments m = MomentsOf(xs);
   EXPECT_LT(std::fabs((m.mean - a) / std::sqrt(a / m.n)), kMaxZ);
   EXPECT_LT(std::fabs((m.var - a) / std::sqrt((2.0 * a * a + 6.0 * a) / m.n)),
@@ -175,12 +212,9 @@ TEST_P(BetaEquivalenceTest, MatchesReference) {
   const auto salt = static_cast<std::uint64_t>(alpha * 7.0 + beta * 13.0);
   BetaSampler sampler(404 + salt);
   Rng rng(505 + salt);
-  const GammaShape ga(alpha), gb(beta);
-  std::vector<double> fresh(kPairN), reference(kPairN);
-  for (int i = 0; i < kPairN; ++i) {
-    fresh[i] = sampler.Beta(ga, gb);
-    reference[i] = ReferenceBeta(rng, alpha, beta);
-  }
+  const std::vector<double> fresh = BlockBetas(sampler, alpha, beta, kPairN);
+  std::vector<double> reference(kPairN);
+  for (double& x : reference) x = ReferenceBeta(rng, alpha, beta);
   const Moments a = MomentsOf(fresh), b = MomentsOf(reference);
   EXPECT_LT(std::fabs(TwoSampleMeanZ(a, b)), kMaxZ);
   EXPECT_LT(std::fabs(TwoSampleVarZ(a, b)), kMaxZ);
@@ -191,9 +225,7 @@ TEST_P(BetaEquivalenceTest, MomentsMatchTheory) {
   const auto [alpha, beta] = GetParam();
   BetaSampler sampler(606 +
                       static_cast<std::uint64_t>(alpha * 7.0 + beta * 13.0));
-  const GammaShape ga(alpha), gb(beta);
-  std::vector<double> xs(kTheoryN);
-  for (double& x : xs) x = sampler.Beta(ga, gb);
+  const std::vector<double> xs = BlockBetas(sampler, alpha, beta, kTheoryN);
   const Moments m = MomentsOf(xs);
   const double s = alpha + beta;
   const double mean = alpha / s;
@@ -216,9 +248,9 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Ziggurat normal -----------------------------------------------------
 
 TEST(ZigguratNormalTest, KsAgainstAnalyticCdf) {
-  BetaSampler sampler(707);
+  ThetaLane lane(707);
   std::vector<double> xs(kTheoryN);
-  for (double& x : xs) x = sampler.Normal();
+  for (double& x : xs) x = LaneNormal(lane);
   std::sort(xs.begin(), xs.end());
   const double n = static_cast<double>(xs.size());
   double d = 0.0;
@@ -238,29 +270,24 @@ TEST(ZigguratNormalTest, KsAgainstAnalyticCdf) {
 TEST(ZigguratNormalTest, EquiprobableBinsChiSquare) {
   constexpr int kBins = 128;
   constexpr int kN = 1000000;
-  BetaSampler sampler(808);
+  ThetaLane lane(808);
   std::vector<int> counts(kBins, 0);
   for (int i = 0; i < kN; ++i) {
-    const double u = NormalCdf(sampler.Normal());
+    const double u = NormalCdf(LaneNormal(lane));
     ++counts[std::min(kBins - 1, static_cast<int>(u * kBins))];
   }
   const double expected = static_cast<double>(kN) / kBins;
   double chi2 = 0.0;
   for (int c : counts) chi2 += (c - expected) * (c - expected) / expected;
-  // Wilson–Hilferty: (chi2 / df)^(1/3) is normal with mean 1 - 2/(9 df)
-  // and variance 2/(9 df).
-  const double df = kBins - 1;
-  const double z = (std::cbrt(chi2 / df) - (1.0 - 2.0 / (9.0 * df))) /
-                   std::sqrt(2.0 / (9.0 * df));
-  EXPECT_LT(std::fabs(z), kMaxZ);
+  EXPECT_LT(std::fabs(ChiSquareZ(chi2, kBins - 1)), kMaxZ);
 }
 
 TEST(ZigguratNormalTest, Symmetric) {
   constexpr int kN = 1000000;
-  BetaSampler sampler(909);
+  ThetaLane lane(909);
   double positives = 0.0, cubes = 0.0;
   for (int i = 0; i < kN; ++i) {
-    const double x = sampler.Normal();
+    const double x = LaneNormal(lane);
     positives += x > 0.0 ? 1.0 : 0.0;
     cubes += x * x * x;
   }
@@ -277,11 +304,11 @@ TEST(ZigguratNormalTest, TailMassBeyondBaseStrip) {
   constexpr int kN = 4000000;
   const double r = internal::ZigguratTable::kR;
   const double inner = internal::Ziggurat().x[2];
-  BetaSampler sampler(1010);
+  ThetaLane lane(1010);
   double beyond = 0.0, band = 0.0;
   std::vector<double> tail;
   for (int i = 0; i < kN; ++i) {
-    const double x = std::fabs(sampler.Normal());
+    const double x = std::fabs(LaneNormal(lane));
     beyond += x > r ? 1.0 : 0.0;
     band += x > inner && x <= r ? 1.0 : 0.0;
     if (x > r) tail.push_back(x);
@@ -305,6 +332,87 @@ TEST(ZigguratNormalTest, TailMassBeyondBaseStrip) {
   EXPECT_LT(std::fabs(binomial_z(beyond, p_beyond)), kMaxZ);
   EXPECT_LT(std::fabs(binomial_z(band, p_band)), kMaxZ);
 }
+
+// --- Thompson arg-min -----------------------------------------------------
+
+// How often each arm wins a Thompson round (lowest θ, ties to the lower
+// arm) must match the oracle's: a two-sample χ² homogeneity test over the
+// win counts of kArgMinRounds rounds per sampler. The posterior sets are
+// near-ties (every arm wins often enough for χ²) at prior, mid and
+// large counts, and spread over one and two blocks.
+constexpr int kArgMinRounds = 40000;
+
+class ThompsonArgMinTest
+    : public ::testing::TestWithParam<std::vector<std::pair<double, double>>> {
+};
+
+TEST_P(ThompsonArgMinTest, WinFrequenciesMatchReference) {
+  const std::vector<std::pair<double, double>>& arms = GetParam();
+  const auto salt = static_cast<std::uint64_t>(arms.size() * 31 +
+                                               arms.front().second * 17.0);
+  BetaSampler sampler(1111 + salt);
+  Rng rng(1212 + salt);
+  BetaShapes shapes;
+  for (const auto& [alpha, beta] : arms) {
+    shapes.PushBack(BetaPosterior(alpha, beta));
+  }
+  auto arg_min = [](std::span<const double> theta) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < theta.size(); ++i) {
+      if (theta[i] < theta[best]) best = i;
+    }
+    return best;
+  };
+  std::vector<double> block_wins(arms.size(), 0.0);
+  std::vector<double> reference_wins(arms.size(), 0.0);
+  std::vector<double> reference(arms.size());
+  for (int r = 0; r < kArgMinRounds; ++r) {
+    ++block_wins[arg_min(sampler.Draw(shapes))];
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      reference[i] = ReferenceBeta(rng, arms[i].first, arms[i].second);
+    }
+    ++reference_wins[arg_min(reference)];
+  }
+  // Equal sample sizes: chi2 = sum (a - b)^2 / (a + b) over arms that
+  // won at least once, with one degree of freedom fewer than those arms.
+  double chi2 = 0.0;
+  int categories = 0;
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    const double total = block_wins[i] + reference_wins[i];
+    if (total == 0.0) continue;
+    const double diff = block_wins[i] - reference_wins[i];
+    chi2 += diff * diff / total;
+    ++categories;
+  }
+  ASSERT_GE(categories, 2);
+  // Upper tail only: a small χ² is agreement, not a difference.
+  EXPECT_LT(ChiSquareZ(chi2, categories - 1), kMaxZ);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PosteriorSets, ThompsonArgMinTest,
+    ::testing::Values(
+        // The Beta(1, 1) prior against BetaInit's Beta(1, 2) and a
+        // promising Beta(2, 1) neighbour.
+        std::vector<std::pair<double, double>>{{1, 1}, {1, 2}, {2, 1}},
+        // Mid-window posteriors near the top-K boundary.
+        std::vector<std::pair<double, double>>{
+            {3, 40}, {4, 38}, {2, 30}, {5, 45}, {3, 35}},
+        // Nine arms: a full block plus lane 0 again.
+        std::vector<std::pair<double, double>>{{1, 1},
+                                               {1, 2},
+                                               {2, 3},
+                                               {3, 5},
+                                               {2, 2},
+                                               {1, 3},
+                                               {4, 6},
+                                               {2, 5},
+                                               {3, 4}},
+        // Thirteen identical arms: every lane must win 1/13 of the time.
+        std::vector<std::pair<double, double>>(13, {5, 5}),
+        // Large counts late in a tau = 10k window.
+        std::vector<std::pair<double, double>>{
+            {500, 4500}, {480, 4520}, {510, 4490}, {495, 4505}}));
 
 }  // namespace
 }  // namespace tmerge::core

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,50 +14,72 @@ namespace {
 
 using internal::ZigguratTable;
 
+/// `arms` copies of Beta(s, f).
+BetaShapes SameShapes(double s, double f, std::size_t arms) {
+  BetaShapes shapes;
+  for (std::size_t i = 0; i < arms; ++i) shapes.PushBack(BetaPosterior(s, f));
+  return shapes;
+}
+
 TEST(BetaSamplerTest, DeterministicForSameSeed) {
   BetaSampler a(123), b(123);
-  const GammaShape s(3.0), f(7.0);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(a.Beta(s, f), b.Beta(s, f));
+  const BetaShapes shapes = SameShapes(3.0, 7.0, 11);
+  for (int round = 0; round < 100; ++round) {
+    const std::span<const double> ta = a.Draw(shapes);
+    const std::span<const double> tb = b.Draw(shapes);
+    ASSERT_EQ(ta.size(), tb.size());
+    for (std::size_t i = 0; i < ta.size(); ++i) EXPECT_EQ(ta[i], tb[i]);
   }
 }
 
 TEST(BetaSamplerTest, DifferentSeedsDiffer) {
-  BetaSampler a(1), b(2);
+  ThetaLane a(1), b(2);
   int same = 0;
   for (int i = 0; i < 100; ++i) {
     if (a.Uniform01() == b.Uniform01()) ++same;
   }
   EXPECT_LT(same, 5);
+  // The block sampler's eight lanes are distinct engines too.
+  const BetaSampler sampler(1);
+  for (std::size_t l = 1; l < BetaSampler::kLanes; ++l) {
+    EXPECT_NE(sampler.Lane(l).Next(), sampler.Lane(0).Next()) << l;
+  }
 }
 
 TEST(BetaSamplerTest, Uniform01InRange) {
-  BetaSampler sampler(7);
+  ThetaLane lane(7);
   for (int i = 0; i < 10000; ++i) {
-    double u = sampler.Uniform01();
+    double u = lane.Uniform01();
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
+  EXPECT_EQ(internal::Unit(0), 0.0);
+  EXPECT_EQ(internal::Unit(~0ULL), 1.0 - 0x1.0p-52);
+  EXPECT_EQ(internal::SignedUnit(0), -1.0);
+  EXPECT_EQ(internal::SignedUnit(~0ULL), 1.0 - 0x1.0p-51);
 }
 
 // Moved from rng_test (RngTest.BetaMeanMatchesTheory) with Rng::Beta.
 TEST(BetaSamplerTest, BetaMeanMatchesTheory) {
   BetaSampler sampler(23);
-  const GammaShape alpha(2.0), beta(6.0);
+  const BetaShapes shapes = SameShapes(2.0, 6.0, 20);
   double sum = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) sum += sampler.Beta(alpha, beta);
-  EXPECT_NEAR(sum / kN, 2.0 / 8.0, 0.01);
+  constexpr int kRounds = 1000;
+  for (int r = 0; r < kRounds; ++r) {
+    for (double theta : sampler.Draw(shapes)) sum += theta;
+  }
+  EXPECT_NEAR(sum / (kRounds * 20), 2.0 / 8.0, 0.01);
 }
 
 // Moved from rng_test (RngTest.BetaStaysInUnitInterval) with Rng::Beta.
 TEST(BetaSamplerTest, BetaStaysInUnitInterval) {
   BetaSampler sampler(29);
-  const GammaShape half(0.5);
-  for (int i = 0; i < 2000; ++i) {
-    double b = sampler.Beta(half, half);
-    EXPECT_GE(b, 0.0);
-    EXPECT_LE(b, 1.0);
+  const BetaShapes shapes = SameShapes(0.5, 0.5, 20);
+  for (int r = 0; r < 100; ++r) {
+    for (double b : sampler.Draw(shapes)) {
+      EXPECT_GE(b, 0.0);
+      EXPECT_LE(b, 1.0);
+    }
   }
 }
 
@@ -73,17 +97,32 @@ TEST(BetaSamplerTest, GammaShapeConstants) {
   EXPECT_EQ(prior.inv_shape, 0.0);
 }
 
-// The posterior's cached shapes track every count change: its draws equal
-// draws from freshly built shapes of the current (S, F), bit for bit.
+// BetaShapes tracks every count change, push, move and truncation: its
+// draws equal draws from shapes freshly built from the current
+// posteriors, bit for bit.
 TEST(BetaSamplerTest, PosteriorRefreshesCachedShapes) {
-  BetaPosterior posterior;
-  posterior.AddPseudoCounts(0.0, 1.0);
-  BetaSampler cached(41), fresh(41);
-  for (int i = 0; i < 200; ++i) {
-    posterior.Observe(i % 3 == 0);
-    const double theta = posterior.Sample(cached);
-    EXPECT_EQ(theta, fresh.Beta(GammaShape(posterior.s()),
-                                GammaShape(posterior.f())));
+  std::vector<BetaPosterior> posteriors(10);
+  BetaShapes cached;
+  for (const BetaPosterior& posterior : posteriors) cached.PushBack(posterior);
+  BetaSampler a(41), b(41);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t i = static_cast<std::size_t>(round) % cached.size();
+    posteriors[i].Observe(round % 3 == 0);
+    cached.Set(i, posteriors[i]);
+    if (round == 100) {
+      // Drop arm 2, as the selector compacts a pruned arm away.
+      for (std::size_t j = 2; j + 1 < posteriors.size(); ++j) {
+        cached.Move(j + 1, j);
+      }
+      posteriors.erase(posteriors.begin() + 2);
+      cached.Truncate(posteriors.size());
+    }
+    BetaShapes fresh;
+    for (const BetaPosterior& posterior : posteriors) fresh.PushBack(posterior);
+    const std::span<const double> ta = a.Draw(cached);
+    const std::span<const double> tb = b.Draw(fresh);
+    ASSERT_EQ(ta.size(), tb.size());
+    for (std::size_t j = 0; j < ta.size(); ++j) EXPECT_EQ(ta[j], tb[j]);
   }
 }
 

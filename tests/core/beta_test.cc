@@ -1,5 +1,8 @@
 #include "tmerge/core/beta.h"
 
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tmerge/core/beta_sampler.h"
@@ -58,11 +61,23 @@ TEST(BetaPosteriorTest, PosteriorConcentratesOnTrueRate) {
   EXPECT_NEAR(beta.Mean(), 0.2, 0.02);
 }
 
+// `beta`'s Thompson samples, drawn `kArms` at a time as one block.
+std::vector<double> Samples(const BetaPosterior& beta, BetaSampler& sampler,
+                            int rounds) {
+  constexpr int kArms = 10;
+  BetaShapes shapes;
+  for (int i = 0; i < kArms; ++i) shapes.PushBack(beta);
+  std::vector<double> samples;
+  for (int r = 0; r < rounds; ++r) {
+    for (double theta : sampler.Draw(shapes)) samples.push_back(theta);
+  }
+  return samples;
+}
+
 TEST(BetaPosteriorTest, SampleWithinUnitInterval) {
   BetaSampler sampler(5);
   BetaPosterior beta(3.0, 7.0);
-  for (int i = 0; i < 500; ++i) {
-    double theta = beta.Sample(sampler);
+  for (double theta : Samples(beta, sampler, 50)) {
     EXPECT_GE(theta, 0.0);
     EXPECT_LE(theta, 1.0);
   }
@@ -71,10 +86,10 @@ TEST(BetaPosteriorTest, SampleWithinUnitInterval) {
 TEST(BetaPosteriorTest, SampleMeanMatchesPosteriorMean) {
   BetaSampler sampler(6);
   BetaPosterior beta(30.0, 70.0);
+  const std::vector<double> samples = Samples(beta, sampler, 2000);
   double sum = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) sum += beta.Sample(sampler);
-  EXPECT_NEAR(sum / kN, beta.Mean(), 0.01);
+  for (double theta : samples) sum += theta;
+  EXPECT_NEAR(sum / static_cast<double>(samples.size()), beta.Mean(), 0.01);
 }
 
 TEST(BetaPosteriorDeathTest, RejectsNonPositiveShapes) {
@@ -92,12 +107,14 @@ class BetaOrderingTest
 TEST_P(BetaOrderingTest, LowerMeanSampledLowerOnAverage) {
   auto [s, f] = GetParam();
   BetaSampler sampler(777);
-  BetaPosterior low(s, f + 5.0);    // Lower mean.
-  BetaPosterior high(s + 5.0, f);   // Higher mean.
+  BetaShapes shapes;
+  shapes.PushBack(BetaPosterior(s, f + 5.0));  // Lower mean.
+  shapes.PushBack(BetaPosterior(s + 5.0, f));  // Higher mean.
   int low_wins = 0;
   constexpr int kTrials = 3000;
   for (int i = 0; i < kTrials; ++i) {
-    if (low.Sample(sampler) < high.Sample(sampler)) ++low_wins;
+    const std::span<const double> theta = sampler.Draw(shapes);
+    if (theta[0] < theta[1]) ++low_wins;
   }
   EXPECT_GT(low_wins, kTrials / 2);
 }

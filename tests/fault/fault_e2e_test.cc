@@ -127,35 +127,53 @@ TEST_F(FaultE2eTest, RecallDegradesGracefullyWithFailureRate) {
   merge::TMergeOptions tmerge_options;
   tmerge_options.tau_max = 2000;
   merge::TMergeSelector selector(tmerge_options);
-  merge::SelectorOptions options;
-  options.seed = 11;
 
-  fault::GlobalRegistry().SetSeed(9);
+  // Failure accounting and a usable candidate set are checked on every
+  // run. Recall over this dataset's 7 truth pairs moves in steps of 1/7,
+  // wider than the tolerance band below, so whether one run's
+  // intermediate rates sit inside the band is decided by its selector
+  // seed's θ stream; the band is checked on the mean over ten selector
+  // seeds, which measures the degradation itself.
   const std::vector<double> rates = {0.0, 0.1, 0.5, 1.0};
-  std::vector<merge::EvalResult> results;
-  for (double rate : rates) {
-    fault::GlobalRegistry().Arm("reid.embed", {rate, 0.0});
-    results.push_back(merge::EvaluateDataset(prepared, selector, options, 2));
-  }
-  fault::GlobalRegistry().Disarm("reid.embed");
+  std::vector<double> mean_rec(rates.size(), 0.0);
+  constexpr int kSeeds = 10;
+  for (int s = 0; s < kSeeds; ++s) {
+    merge::SelectorOptions options;
+    options.seed = static_cast<std::uint64_t>(11 + s);
+    fault::GlobalRegistry().SetSeed(9);
+    std::vector<merge::EvalResult> results;
+    for (double rate : rates) {
+      fault::GlobalRegistry().Arm("reid.embed", {rate, 0.0});
+      results.push_back(merge::EvaluateDataset(prepared, selector, options, 2));
+    }
+    fault::GlobalRegistry().Disarm("reid.embed");
 
-  // Failure accounting tracks the armed rate strictly.
-  EXPECT_EQ(results[0].failed_pulls, 0);
-  for (std::size_t i = 1; i < rates.size(); ++i) {
-    EXPECT_GT(results[i].failed_pulls, results[i - 1].failed_pulls)
-        << "rate " << rates[i];
+    // Failure accounting tracks the armed rate strictly.
+    EXPECT_EQ(results[0].failed_pulls, 0) << "seed " << options.seed;
+    for (std::size_t i = 1; i < rates.size(); ++i) {
+      EXPECT_GT(results[i].failed_pulls, results[i - 1].failed_pulls)
+          << "seed " << options.seed << " rate " << rates[i];
+    }
+    // The endpoints are strictly ordered (healthy beats fully failed) on
+    // the first seed's run and on the mean below.
+    if (s == 0) {
+      EXPECT_GT(results[0].rec, results[3].rec);
+    }
+    // Even at full failure the selector returns a usable candidate set.
+    EXPECT_FALSE(results[3].candidates.empty()) << "seed " << options.seed;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      mean_rec[i] += results[i].rec / kSeeds;
+    }
   }
   // Monotonically-ish degrading recall: sampling noise may wiggle a point
   // upward a little, but never by more than the tolerance band, and the
   // endpoints must be strictly ordered (healthy beats fully failed).
   constexpr double kTolerance = 0.10;
   for (std::size_t i = 1; i < rates.size(); ++i) {
-    EXPECT_LE(results[i].rec, results[i - 1].rec + kTolerance)
+    EXPECT_LE(mean_rec[i], mean_rec[i - 1] + kTolerance)
         << "rate " << rates[i];
   }
-  EXPECT_GT(results[0].rec, results[3].rec);
-  // Even at full failure the selector returns a usable candidate set.
-  EXPECT_FALSE(results[3].candidates.empty());
+  EXPECT_GT(mean_rec[0], mean_rec[3]);
 }
 
 TEST_F(FaultE2eTest, FullFailureCompletesEveryProfileAndBeatsIouOnly) {

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "tmerge/core/rng.h"
@@ -207,7 +209,7 @@ class KernelLevelTest : public ::testing::TestWithParam<KernelLevel> {
 INSTANTIATE_TEST_SUITE_P(
     AllLevels, KernelLevelTest,
     ::testing::Values(KernelLevel::kScalar, KernelLevel::kSse2,
-                      KernelLevel::kAvx2, KernelLevel::kAvx512),
+                      KernelLevel::kAvx2),
     [](const ::testing::TestParamInfo<KernelLevel>& p) {
       return KernelLevelName(p.param);
     });
@@ -283,7 +285,7 @@ TEST(KernelDispatchTest, SupportedLevelsAscendFromScalarToDetected) {
 TEST(KernelDispatchTest, SetKernelLevelRejectsUnsupportedLevels) {
   ScopedKernelLevel restore;
   for (KernelLevel level : {KernelLevel::kScalar, KernelLevel::kSse2,
-                            KernelLevel::kAvx2, KernelLevel::kAvx512}) {
+                            KernelLevel::kAvx2}) {
     if (KernelLevelSupported(level)) {
       EXPECT_TRUE(SetKernelLevel(level)) << KernelLevelName(level);
       EXPECT_EQ(CurrentKernelLevel(), level);
@@ -296,17 +298,16 @@ TEST(KernelDispatchTest, SetKernelLevelRejectsUnsupportedLevels) {
 }
 
 TEST(KernelDispatchTest, ParseKernelLevelAcceptsExactNamesOnly) {
-  KernelLevel level = KernelLevel::kAvx512;
+  KernelLevel level = KernelLevel::kAvx2;
   EXPECT_TRUE(ParseKernelLevel("scalar", &level));
   EXPECT_EQ(level, KernelLevel::kScalar);
   EXPECT_TRUE(ParseKernelLevel("sse2", &level));
   EXPECT_EQ(level, KernelLevel::kSse2);
   EXPECT_TRUE(ParseKernelLevel("avx2", &level));
   EXPECT_EQ(level, KernelLevel::kAvx2);
-  EXPECT_TRUE(ParseKernelLevel("avx512", &level));
-  EXPECT_EQ(level, KernelLevel::kAvx512);
-  for (const char* junk :
-       {"", "AVX2", "avx", "avx2 ", " sse2", "3", "scalar,avx2", "best"}) {
+  // "avx512" names a retired level: no faster than AVX2 at dim 16.
+  for (const char* junk : {"", "AVX2", "avx", "avx2 ", " sse2", "3",
+                           "scalar,avx2", "best", "avx512"}) {
     level = KernelLevel::kSse2;
     EXPECT_FALSE(ParseKernelLevel(junk, &level)) << '"' << junk << '"';
     EXPECT_EQ(level, KernelLevel::kSse2) << "junk must not write through";
@@ -315,11 +316,28 @@ TEST(KernelDispatchTest, ParseKernelLevelAcceptsExactNamesOnly) {
 
 TEST(KernelDispatchTest, LevelNamesRoundTripThroughParser) {
   for (KernelLevel level : {KernelLevel::kScalar, KernelLevel::kSse2,
-                            KernelLevel::kAvx2, KernelLevel::kAvx512}) {
+                            KernelLevel::kAvx2}) {
     KernelLevel parsed = KernelLevel::kScalar;
     EXPECT_TRUE(ParseKernelLevel(KernelLevelName(level), &parsed));
     EXPECT_EQ(parsed, level);
   }
+}
+
+// A session pinned to the retired AVX-512 level keeps running: the value
+// takes the strict parser's warn-and-keep-detected path. The threadsafe
+// death-test style re-executes the binary, so the child resolves its
+// default level from scratch, with the variable set.
+TEST(KernelDispatchDeathTest, RetiredAvx512LevelWarnsAndKeepsDetected) {
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("TMERGE_KERNEL_LEVEL", "avx512", /*overwrite=*/1);
+        std::exit(CurrentKernelLevel() == DetectedKernelLevel() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "ignoring invalid TMERGE_KERNEL_LEVEL=\"avx512\"");
+  ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 #if TMERGE_DCHECK_ENABLED
